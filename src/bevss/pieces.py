@@ -73,50 +73,91 @@ def _grid_shape(h: int, w: int, k: int) -> tuple[int, int]:
     return ny, nx
 
 
+# Centers whose search windows one array operation evaluates together. It
+# bounds the assignment's temporaries to _SLIC_BLOCK * (2*ceil(2S)+1)^2
+# elements; the labels do not depend on it.
+_SLIC_BLOCK = 8
+
+
 def oversegment(flow_img: FlowImage, params: PieceParams) -> Segmentation2D:
     """SLIC-style clustering of the flow image in (u, v, g*du, g*dv) space.
 
-    Centers start on a regular grid; assignment runs inside 2S x 2S
-    windows around each center; disconnected fragments are relabeled to a
-    neighboring superpixel afterwards.
+    Centers start on a regular grid of spacing S. Each iteration gives every
+    pixel the center that minimizes the distance among the centers whose
+    search window covers it; ties go to the lowest center index. A window
+    spans rows and columns within +-ceil(2S) of the truncated center, i.e.
+    (2*ceil(2S)+1)^2 pixels clipped at the image border. Pixels outside
+    every window take the spatially nearest center. Disconnected fragments
+    are relabeled to a neighboring superpixel afterwards.
     """
     h, w = flow_img.data.shape[:2]
-    k = params.superpixel_count
-    if k > h * w:
+    if params.superpixel_count > h * w:
         raise ValueError("more superpixels than pixels")
+    labels = _enforce_connectivity(_slic_labels(flow_img.data, params))
+    return Segmentation2D(camera_id=flow_img.camera_id, labels=labels)
 
-    flow = flow_img.data.astype(np.float64) * params.flow_gain
-    ny, nx = _grid_shape(h, w, k)
+
+def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
+    """(H, W) int32 SLIC labels of an (H, W, 2) flow image, before connectivity."""
+    h, w = data.shape[:2]
+    ny, nx = _grid_shape(h, w, params.superpixel_count)
     s = max(1.0, np.sqrt(h * w / (ny * nx)))
     inv_s2 = (params.compactness / s) ** 2
+    half = int(np.ceil(2 * s))
+    win = 2 * half + 1
+    wp = w + 2 * half
+
+    # Each channel is padded by the search radius with inf, so every window
+    # has the same shape and starts at the truncated center in padded
+    # coordinates. A padded pixel's distance is inf and never passes `<`.
+    pads = [
+        np.pad(data[..., ch].astype(np.float64) * params.flow_gain, half, constant_values=np.inf)
+        for ch in range(2)
+    ]
+    flat = [p.ravel() for p in pads]
 
     cy = (np.arange(ny) + 0.5) * h / ny
     cx = (np.arange(nx) + 0.5) * w / nx
     centers_yx = np.stack(np.meshgrid(cy, cx, indexing="ij"), axis=-1).reshape(-1, 2)
+    n_c = centers_yx.shape[0]
     ci = np.clip(np.rint(centers_yx[:, 0]).astype(int), 0, h - 1)
     cj = np.clip(np.rint(centers_yx[:, 1]).astype(int), 0, w - 1)
-    centers_f = flow[ci, cj].copy()
+    centers_f = np.stack([p[ci + half, cj + half] for p in pads], axis=1)
 
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    offs = np.arange(win)
     labels = np.zeros((h, w), dtype=np.int32)
-    half = int(np.ceil(2 * s))
+    best = np.empty(pads[0].size)
+    labels_p = np.empty(pads[0].size, dtype=np.int32)
 
     for _ in range(params.slic_iters):
-        best = np.full((h, w), np.inf)
-        labels.fill(-1)
-        for c in range(centers_yx.shape[0]):
-            y0 = max(0, int(centers_yx[c, 0]) - half)
-            y1 = min(h, int(centers_yx[c, 0]) + half + 1)
-            x0 = max(0, int(centers_yx[c, 1]) - half)
-            x1 = min(w, int(centers_yx[c, 1]) + half + 1)
-            df = flow[y0:y1, x0:x1] - centers_f[c]
-            dy = yy[y0:y1, x0:x1] - centers_yx[c, 0]
-            dx = xx[y0:y1, x0:x1] - centers_yx[c, 1]
-            dist = (df * df).sum(axis=2) + inv_s2 * (dy * dy + dx * dx)
-            win = best[y0:y1, x0:x1]
-            closer = dist < win
-            win[closer] = dist[closer]
-            labels[y0:y1, x0:x1][closer] = c
+        best.fill(np.inf)
+        labels_p.fill(-1)
+        # Equivalent to visiting the centers in ascending order and taking a
+        # pixel on a strictly smaller distance: a block keeps only the
+        # distances below the best so far, scatter-mins them, and the lowest
+        # center index reaching the new best takes each improved pixel.
+        for c0 in range(0, n_c, _SLIC_BLOCK):
+            cyx = centers_yx[c0 : c0 + _SLIC_BLOCK]
+            cf = centers_f[c0 : c0 + _SLIC_BLOCK]
+            r = cyx[:, 0].astype(np.intp)[:, None] + offs  # (B, win) padded rows
+            q = cyx[:, 1].astype(np.intp)[:, None] + offs
+            idx = (r * wp)[:, :, None] + q[:, None, :]
+            dy = (r - half) - cyx[:, :1]
+            dx = (q - half) - cyx[:, 1:]
+            d0 = flat[0][idx] - cf[:, 0, None, None]
+            d1 = flat[1][idx] - cf[:, 1, None, None]
+            # Keep this expression and operand order: the labels must match the
+            # per-center reference loop in tests/test_pieces.py bit for bit.
+            dist = (d0 * d0 + d1 * d1) + inv_s2 * ((dy * dy)[:, :, None] + (dx * dx)[:, None, :])
+            pos = np.flatnonzero(dist < best[idx])
+            idx = idx.ravel()[pos]
+            dist = dist.ravel()[pos]
+            np.minimum.at(best, idx, dist)
+            won = dist == best[idx]
+            idx = idx[won]
+            labels_p[idx] = n_c
+            np.minimum.at(labels_p, idx, (pos[won] // (win * win) + c0).astype(np.int32))
+        labels = labels_p.reshape(-1, wp)[half:-half, half:-half].copy()
         # Orphans outside every window: nearest center by spatial distance.
         orphan = labels < 0
         if np.any(orphan):
@@ -125,22 +166,38 @@ def oversegment(flow_img: FlowImage, params: PieceParams) -> Segmentation2D:
                 ox[:, None] - centers_yx[None, :, 1]
             ) ** 2
             labels[oy, ox] = np.argmin(d, axis=1)
-        for c in range(centers_yx.shape[0]):
-            m = labels == c
-            if np.any(m):
-                centers_yx[c, 0] = yy[m].mean()
-                centers_yx[c, 1] = xx[m].mean()
-                centers_f[c] = flow[m].reshape(-1, 2).mean(axis=0)
+        # Per-center means; bincount sums in raster order, as a masked mean
+        # would, and centers left without pixels keep their position. Each
+        # image-sized weight array is freed before the next one is built.
+        lab = labels.ravel()
+        counts = np.bincount(lab, minlength=n_c)
+        has = counts > 0
 
-    labels = _enforce_connectivity(labels)
-    return Segmentation2D(camera_id=flow_img.camera_id, labels=labels)
+        def mean(weights):
+            return np.bincount(lab, weights, n_c)[has] / counts[has]
+
+        centers_yx[has, 0] = mean(np.repeat(np.arange(h, dtype=np.float64), w))
+        centers_yx[has, 1] = mean(np.tile(np.arange(w, dtype=np.float64), h))
+        centers_f[has, 0] = mean(pads[0][half:-half, half:-half].ravel())
+        centers_f[has, 1] = mean(pads[1][half:-half, half:-half].ravel())
+    return labels
 
 
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
-    """Keep each label's largest component; merge fragments into a neighbor."""
+    """Keep each label's largest component; merge fragments into a neighbor.
+
+    Labels are visited in ascending order. A merge adds a connected fragment
+    next to the receiving label, so a label that starts in one component
+    stays so: only the labels split at the start need the full-image pass.
+    """
     out = labels.copy()
     structure = np.ones((3, 3), dtype=bool)
-    for lab in np.unique(out):
+    split = [
+        lab
+        for lab, box in enumerate(ndimage.find_objects(labels + 1))
+        if box is not None and ndimage.label(labels[box] == lab, structure=structure)[1] > 1
+    ]
+    for lab in split:
         comp, ncomp = ndimage.label(out == lab, structure=structure)
         if ncomp <= 1:
             continue
@@ -215,17 +272,12 @@ def occlusion_filter(
     valid = labels >= 0
     if not np.any(valid):
         return out
-    cam_idx = camera_of_label[labels[valid]]
-    dist = np.linalg.norm(cloud.points[valid] - centers[cam_idx], axis=1)
     lab = labels[valid]
+    dist = np.linalg.norm(cloud.points[valid] - centers[camera_of_label[lab]], axis=1)
+    _, inv, counts = np.unique(lab, return_inverse=True, return_counts=True)
     order = np.argsort(lab, kind="stable")
-    sorted_lab = lab[order]
-    sorted_dist = dist[order]
-    starts = np.searchsorted(sorted_lab, np.unique(sorted_lab))
-    d_min = np.minimum.reduceat(sorted_dist, starts)
-    min_of = dict(zip(np.unique(sorted_lab).tolist(), d_min.tolist()))
-    dmin_per_point = np.array([min_of[v] for v in lab])
-    drop = dist > dmin_per_point + delta_d
+    d_min = np.minimum.reduceat(dist[order], np.cumsum(counts) - counts)
+    drop = dist > d_min[inv] + delta_d
     drop_idx = np.nonzero(valid)[0][drop]
     out[drop_idx] = -1
     return out

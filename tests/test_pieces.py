@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from bevss.grid import BevGridSpec, PointCloud
 from bevss.pieces import (
     PieceParams,
     RigidPieces,
     Segmentation2D,
+    _compact_labels,
+    _enforce_connectivity,
+    _grid_shape,
     fuse_by_height,
     occlusion_filter,
     oversegment,
@@ -63,6 +67,134 @@ def test_oversegment_rejects_too_many_superpixels():
     data = np.zeros((4, 4, 2), dtype=np.float32)
     with pytest.raises(ValueError):
         oversegment(FlowImage(0, 0, 1, data), PieceParams(superpixel_count=100))
+
+
+def _loop_oversegment(data: np.ndarray, params: PieceParams) -> np.ndarray:
+    """Reference SLIC: one window update per center, in ascending order."""
+    h, w = data.shape[:2]
+    k = params.superpixel_count
+    flow = data.astype(np.float64) * params.flow_gain
+    ny, nx = _grid_shape(h, w, k)
+    s = max(1.0, np.sqrt(h * w / (ny * nx)))
+    inv_s2 = (params.compactness / s) ** 2
+
+    cy = (np.arange(ny) + 0.5) * h / ny
+    cx = (np.arange(nx) + 0.5) * w / nx
+    centers_yx = np.stack(np.meshgrid(cy, cx, indexing="ij"), axis=-1).reshape(-1, 2)
+    ci = np.clip(np.rint(centers_yx[:, 0]).astype(int), 0, h - 1)
+    cj = np.clip(np.rint(centers_yx[:, 1]).astype(int), 0, w - 1)
+    centers_f = flow[ci, cj].copy()
+
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    labels = np.zeros((h, w), dtype=np.int32)
+    half = int(np.ceil(2 * s))
+
+    for _ in range(params.slic_iters):
+        best = np.full((h, w), np.inf)
+        labels.fill(-1)
+        for c in range(centers_yx.shape[0]):
+            y0 = max(0, int(centers_yx[c, 0]) - half)
+            y1 = min(h, int(centers_yx[c, 0]) + half + 1)
+            x0 = max(0, int(centers_yx[c, 1]) - half)
+            x1 = min(w, int(centers_yx[c, 1]) + half + 1)
+            df = flow[y0:y1, x0:x1] - centers_f[c]
+            dy = yy[y0:y1, x0:x1] - centers_yx[c, 0]
+            dx = xx[y0:y1, x0:x1] - centers_yx[c, 1]
+            dist = (df * df).sum(axis=2) + inv_s2 * (dy * dy + dx * dx)
+            win = best[y0:y1, x0:x1]
+            closer = dist < win
+            win[closer] = dist[closer]
+            labels[y0:y1, x0:x1][closer] = c
+        orphan = labels < 0
+        if np.any(orphan):
+            oy, ox = np.nonzero(orphan)
+            d = (oy[:, None] - centers_yx[None, :, 0]) ** 2 + (
+                ox[:, None] - centers_yx[None, :, 1]
+            ) ** 2
+            labels[oy, ox] = np.argmin(d, axis=1)
+        for c in range(centers_yx.shape[0]):
+            m = labels == c
+            if np.any(m):
+                centers_yx[c, 0] = yy[m].mean()
+                centers_yx[c, 1] = xx[m].mean()
+                centers_f[c] = flow[m].reshape(-1, 2).mean(axis=0)
+
+    return _loop_enforce_connectivity(labels)
+
+
+def _loop_enforce_connectivity(labels: np.ndarray) -> np.ndarray:
+    """Reference connectivity pass: one full-image labeling per label."""
+    out = labels.copy()
+    structure = np.ones((3, 3), dtype=bool)
+    for lab in np.unique(out):
+        comp, ncomp = ndimage.label(out == lab, structure=structure)
+        if ncomp <= 1:
+            continue
+        sizes = ndimage.sum_labels(np.ones_like(comp), comp, range(1, ncomp + 1))
+        keep = int(np.argmax(sizes)) + 1
+        for frag in range(1, ncomp + 1):
+            if frag == keep:
+                continue
+            mask = comp == frag
+            ring = ndimage.binary_dilation(mask, structure=structure) & ~mask
+            ring &= out != lab
+            if np.any(ring):
+                vals, counts = np.unique(out[ring], return_counts=True)
+                out[mask] = vals[np.argmax(counts)]
+    return _compact_labels(out)
+
+
+def _normal(shape, seed, scale=1.0):
+    return (scale * np.random.default_rng(seed).normal(size=shape)).astype(np.float32)
+
+
+@pytest.mark.parametrize(
+    "data, params",
+    [
+        pytest.param(_normal((60, 80, 2), 0), PieceParams(superpixel_count=24), id="random"),
+        # Flow distance dominates, so pixels on a window's last row or column
+        # can still pick its center.
+        pytest.param(
+            _normal((40, 40, 2), 3, scale=10.0),
+            PieceParams(superpixel_count=16),
+            id="flow-dominated",
+        ),
+        # Constant flow: centers on a regular grid tie at every midpoint, and
+        # the lowest center index must win.
+        pytest.param(
+            np.full((30, 40, 2), 1.5, dtype=np.float32), PieceParams(superpixel_count=12), id="ties"
+        ),
+        # S = 14.1, windows +-29 px around x = 50 and 150: columns 0-20,
+        # 80-120 and 180-199 lie in no window and take the orphan path.
+        pytest.param(_normal((2, 200, 2), 1), PieceParams(superpixel_count=2), id="orphans"),
+        # Four centers, each window wider than the image: all four borders clip.
+        pytest.param(_normal((30, 30, 2), 2), PieceParams(superpixel_count=4), id="clipped"),
+        pytest.param(
+            _normal((10, 12, 2), 4), PieceParams(superpixel_count=4, slic_iters=0), id="no-iters"
+        ),
+    ],
+)
+def test_oversegment_matches_loop_oracle(data, params):
+    seg = oversegment(FlowImage(0, 0, 1, data), params)
+    np.testing.assert_array_equal(seg.labels, _loop_oversegment(data, params))
+
+
+def test_oversegment_matches_loop_oracle_on_scene_flow(one_box):
+    # The actor's flow boundary and the static background of camera 0.
+    data = one_box.frame_flows(0)[0].data[100:220, 140:300]
+    params = PieceParams(superpixel_count=80)
+    seg = oversegment(FlowImage(0, 0, 1, data), params)
+    np.testing.assert_array_equal(seg.labels, _loop_oversegment(data, params))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_enforce_connectivity_matches_loop_oracle(seed):
+    # Few labels on a small image: most start split, and merges can join
+    # the pieces of a label that is visited later.
+    labels = np.random.default_rng(seed).integers(0, 5, size=(24, 24)).astype(np.int32)
+    np.testing.assert_array_equal(
+        _enforce_connectivity(labels), _loop_enforce_connectivity(labels)
+    )
 
 
 def test_segmentation_validation():
