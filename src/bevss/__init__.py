@@ -6,7 +6,6 @@ from .grid import (
     FrameSet,
     PointCloud,
     PointFlowSet,
-    cell_of,
     field_to_point_flows,
     warp,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "PointFlowSet",
     "RigidPieces",
     "StaticDynamicMask",
-    "cell_of",
     "field_to_point_flows",
     "warp",
 ]

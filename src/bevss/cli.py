@@ -6,21 +6,19 @@ are stable across platforms.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import evaluation, fileio, gradcheck, synth
-from .grid import FrameSet, PointFlowSet, cell_indices
+from .fileio import _fmt
+from .grid import FrameSet, cell_indices, field_to_point_flows
 from .losses import LossWeights, masked_chamfer, rigidity, temporal_consistency, total
 from .masks import DYNAMIC, STATIC, MaskThresholds
 from .optimizer import OptimConfig, optimize, prepare_supervision
 from .pieces import PieceParams, oversegment
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _field_name(t: int) -> str:
@@ -61,17 +59,7 @@ def _add_label_args(p):
 def cmd_synth(args) -> int:
     spec = synth.preset(args.preset, seed=args.seed)
     if args.frames:
-        spec = synth.SceneSpec(
-            background=spec.background,
-            actors=spec.actors,
-            ego=spec.ego,
-            cameras=spec.cameras,
-            frame_set=FrameSet(offsets=_parse_frames(args.frames)),
-            grid=spec.grid,
-            noise_sigma=spec.noise_sigma,
-            flow_noise_px=spec.flow_noise_px,
-            seed=spec.seed,
-        )
+        spec = dataclasses.replace(spec, frame_set=FrameSet(offsets=_parse_frames(args.frames)))
     bundle = synth.generate(spec)
     path = fileio.save_scene(bundle, args.out)
     print(path)
@@ -107,13 +95,7 @@ def cmd_loss(args) -> int:
     bundle = fileio.load_scene(args.scene)
     _supervision(bundle, args)
     fields = _load_pred_fields(args.pred, bundle)
-    flows = {}
-    cloud0 = bundle.clouds[0]
-    idx, valid = cell_indices(cloud0.points, bundle.grid)
-    for t, fld in fields.items():
-        f = np.zeros((len(cloud0), 3))
-        f[valid, :2] = fld.values[idx[valid, 0], idx[valid, 1]]
-        flows[t] = PointFlowSet(t, f)
+    flows = {t: field_to_point_flows(fld, bundle.clouds[0]) for t, fld in fields.items()}
     mc = masked_chamfer(bundle.clouds, bundle.pseudo_masks, flows)
     pr = rigidity(bundle.pieces, flows)
     tc = temporal_consistency(flows, bundle.frame_set)
@@ -137,7 +119,6 @@ def cmd_optimize(args) -> int:
         frame_set=frame_set,
         weights=_weights(args),
         use_mask=not args.no_mask,
-        seed=args.seed,
     )
     fields, report = optimize(bundle, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -273,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--frames", default=None)
     p.add_argument("--no-mask", action="store_true", help="plain Chamfer on full clouds")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("eval", help="speed-bucketed errors against ground truth")

@@ -6,7 +6,6 @@ is the single entry point the CLI works from.
 """
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,13 +13,18 @@ from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud
 from .masks import StaticDynamicMask
 from .pieces import RigidPieces
 from .projection import CalibratedCamera, FlowImage
-from .synth import SceneBundle
+from .scene import SceneBundle
 
 MAGIC_CLOUD = b"PCB1"
 MAGIC_FIELD = b"BEV1"
 MAGIC_FLOW = b"FLW1"
 MAGIC_MASK = b"MSK1"
 MAGIC_PIECES = b"SEG1"
+
+
+def _fmt(x: float) -> str:
+    """Text form of a float in manifests and CLI output: 9 significant digits."""
+    return f"{x:.9g}"
 
 
 class IoError(Exception):
@@ -157,20 +161,15 @@ def load_pieces(path: str, frame_index: int = 0) -> RigidPieces:
     n = int(_take(buf, 4, 1, "<u4", path)[0])
     n_r = int(_take(buf, 8, 1, "<i4", path)[0])
     labels = _take(buf, 12, n, "<i4", path).astype(np.int32)
-    return RigidPieces(frame_index=frame_index, labels=labels, piece_count=n_r)
-
-
-def save_labels_i32(path: str, labels: np.ndarray, n_r: int):
-    save_pieces(path, RigidPieces(0, np.asarray(labels, dtype=np.int32), n_r))
+    try:
+        return RigidPieces(frame_index=frame_index, labels=labels, piece_count=n_r)
+    except ValueError as exc:
+        raise InconsistentCountsError(f"{path}: {exc}") from exc
 
 
 # --- scene manifest -------------------------------------------------------
 
 MANIFEST_NAME = "manifest"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def save_scene(bundle: SceneBundle, out_dir: str) -> str:
@@ -213,7 +212,7 @@ def save_scene(bundle: SceneBundle, out_dir: str) -> str:
         lines.append(f"gt_mask {t}: {rel}")
         rel = f"gt/inst_{name(t)}.seg"
         n_r = int(bundle.gt_instances[t].max()) + 1 if bundle.gt_instances[t].size else 0
-        save_labels_i32(os.path.join(out_dir, rel), bundle.gt_instances[t], max(n_r, 0))
+        save_pieces(os.path.join(out_dir, rel), RigidPieces(t, bundle.gt_instances[t], max(n_r, 0)))
         lines.append(f"gt_instances {t}: {rel}")
         rel = f"gt/vis_{name(t)}.msk"
         save_mask_bytes(os.path.join(out_dir, rel), bundle.visibility[t].astype(np.uint8))
@@ -253,6 +252,7 @@ def load_scene(manifest_path: str) -> SceneBundle:
     cameras = {}
     i = 0
     while i < len(raw_lines):
+        lineno = i + 1
         line = raw_lines[i]
         i += 1
         if not line.strip():
@@ -260,54 +260,63 @@ def load_scene(manifest_path: str) -> SceneBundle:
         key, _, value = line.partition(":")
         key_parts = key.split()
         value = value.strip()
-        kind = key_parts[0]
-        if kind == "grid":
-            v = [float(x) for x in value.split()]
-            if len(v) != 7:
-                raise InconsistentCountsError("grid line needs 7 numbers")
-            grid = BevGridSpec(*v)
-        elif kind == "frames":
-            frames = tuple(int(x) for x in value.split(","))
-        elif kind == "frame_interval":
-            interval = float(value)
-        elif kind == "velocities":
-            flat = np.array([float(x) for x in value.split()])
-            velocities = flat.reshape(-1, 2)
-        elif kind == "cloud":
-            cloud_paths[int(key_parts[1])] = value
-        elif kind == "flow":
-            flow_paths[(int(key_parts[1]), int(key_parts[2]))] = value
-        elif kind == "camera":
-            cam_id, t = int(key_parts[1]), int(key_parts[2])
-            size, proj = None, None
-            while i < len(raw_lines) and raw_lines[i].startswith("  "):
-                sub_key, _, sub_val = raw_lines[i].strip().partition(":")
-                if sub_key == "size":
-                    size = tuple(int(x) for x in sub_val.split())
-                elif sub_key == "proj":
-                    proj = np.array([float(x) for x in sub_val.split()]).reshape(3, 4)
-                i += 1
-            if size is None or proj is None:
-                raise InconsistentCountsError(f"camera {cam_id} {t}: incomplete block")
-            cameras[(cam_id, t)] = CalibratedCamera(cam_id, t, proj, size[0], size[1])
-        elif kind == "gt_field":
-            gt_field_paths[int(key_parts[1])] = value
-        elif kind == "gt_mask":
-            gt_mask_paths[int(key_parts[1])] = value
-        elif kind == "gt_instances":
-            gt_inst_paths[int(key_parts[1])] = value
-        elif kind == "gt_visible":
-            gt_vis_paths[int(key_parts[1])] = value
-        elif kind == "mask":
-            mask_paths[int(key_parts[1])] = value
-        elif kind == "pieces":
-            pieces_path = value
-        else:
-            raise InconsistentCountsError(f"unknown manifest key {kind!r}")
+        try:
+            kind = key_parts[0]
+            if kind == "grid":
+                v = [float(x) for x in value.split()]
+                if len(v) != 7:
+                    raise InconsistentCountsError("grid line needs 7 numbers")
+                grid = BevGridSpec(*v)
+            elif kind == "frames":
+                frames = tuple(int(x) for x in value.split(","))
+            elif kind == "frame_interval":
+                interval = float(value)
+            elif kind == "velocities":
+                flat = np.array([float(x) for x in value.split()])
+                velocities = flat.reshape(-1, 2)
+            elif kind == "cloud":
+                cloud_paths[int(key_parts[1])] = value
+            elif kind == "flow":
+                flow_paths[(int(key_parts[1]), int(key_parts[2]))] = value
+            elif kind == "camera":
+                cam_id, t = int(key_parts[1]), int(key_parts[2])
+                size, proj = None, None
+                while i < len(raw_lines) and raw_lines[i].startswith("  "):
+                    lineno = i + 1
+                    sub_key, _, sub_val = raw_lines[i].strip().partition(":")
+                    if sub_key == "size":
+                        size = tuple(int(x) for x in sub_val.split())
+                        if len(size) != 2:
+                            raise ValueError("size needs 2 numbers")
+                    elif sub_key == "proj":
+                        proj = np.array([float(x) for x in sub_val.split()]).reshape(3, 4)
+                    i += 1
+                if size is None or proj is None:
+                    raise InconsistentCountsError(f"camera {cam_id} {t}: incomplete block")
+                cameras[(cam_id, t)] = CalibratedCamera(cam_id, t, proj, size[0], size[1])
+            elif kind == "gt_field":
+                gt_field_paths[int(key_parts[1])] = value
+            elif kind == "gt_mask":
+                gt_mask_paths[int(key_parts[1])] = value
+            elif kind == "gt_instances":
+                gt_inst_paths[int(key_parts[1])] = value
+            elif kind == "gt_visible":
+                gt_vis_paths[int(key_parts[1])] = value
+            elif kind == "mask":
+                mask_paths[int(key_parts[1])] = value
+            elif kind == "pieces":
+                pieces_path = value
+            else:
+                raise InconsistentCountsError(f"unknown manifest key {kind!r}")
+        except (ValueError, IndexError) as exc:
+            raise InconsistentCountsError(f"{manifest_path}:{lineno}: {exc}") from exc
 
     if grid is None or frames is None:
         raise InconsistentCountsError("manifest missing grid or frames")
-    frame_set = FrameSet(offsets=frames, frame_interval_s=interval)
+    try:
+        frame_set = FrameSet(offsets=frames, frame_interval_s=interval)
+    except ValueError as exc:
+        raise InconsistentCountsError(f"{manifest_path}: {exc}") from exc
 
     clouds = {t: load_cloud(os.path.join(base, p), t) for t, p in cloud_paths.items()}
     flow_images = {

@@ -5,7 +5,7 @@ y left, z up, meters. The BEV grid discretizes the x/y plane; each cell
 stores one planar displacement shared by every point inside it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,24 +144,22 @@ def cell_indices(points: np.ndarray, spec: BevGridSpec):
     return np.stack([ix, iy], axis=1), valid
 
 
-def cell_of(p, spec: BevGridSpec):
-    """Cell (ix, iy) containing point p, or None if out of range."""
-    idx, valid = cell_indices(np.asarray(p, dtype=np.float64).reshape(1, 3), spec)
-    if not valid[0]:
-        return None
-    return int(idx[0, 0]), int(idx[0, 1])
+def gather_flows(values: np.ndarray, idx: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(N,3) point flows from a (cells_x, cells_y, 2) values array.
+
+    idx/valid come from cell_indices. Each valid point takes the planar
+    motion of its cell with zero vertical; the others get (0,0,0) so that
+    point order stays aligned with masks and labels.
+    """
+    flows = np.zeros((idx.shape[0], 3), dtype=np.float64)
+    flows[valid, :2] = values[idx[valid, 0], idx[valid, 1]]
+    return flows
 
 
 def field_to_point_flows(field: BevMotionField, cloud: PointCloud) -> PointFlowSet:
-    """Assign each point the planar motion of its BEV cell (zero vertical).
-
-    Points outside the grid get flow (0,0,0) so that point order stays
-    aligned with masks and labels.
-    """
+    """Assign each point the planar motion of its BEV cell (zero vertical)."""
     idx, valid = cell_indices(cloud.points, field.spec)
-    flows = np.zeros((len(cloud), 3), dtype=np.float64)
-    flows[valid, :2] = field.values[idx[valid, 0], idx[valid, 1]]
-    return PointFlowSet(time_offset=field.time_offset, flows=flows)
+    return PointFlowSet(time_offset=field.time_offset, flows=gather_flows(field.values, idx, valid))
 
 
 def warp(cloud: PointCloud, flows: PointFlowSet) -> PointCloud:

@@ -141,7 +141,6 @@ def rigidity(
     pieces: RigidPieces,
     flows: dict[int, PointFlowSet],
     with_grad: bool = False,
-    norm: str = "l1",
 ) -> LossValue:
     """Mean absolute deviation of flows about their piece mean, per frame.
 
@@ -167,16 +166,9 @@ def rigidity(
             means[:, c] = np.bincount(lab, weights=f[:, c], minlength=n_r)
         means /= counts[:, None]
         dev = f - means[lab]
-        if norm == "l1":
-            value += float((w[:, None] * np.abs(dev)).sum())
-            s = np.sign(dev)
-        elif norm == "l2":
-            mag = np.linalg.norm(dev, axis=1)
-            value += float((w * mag).sum())
-            s = np.divide(dev, mag[:, None], out=np.zeros_like(dev), where=mag[:, None] > 0)
-        else:
-            raise ValueError(f"unknown norm {norm!r}")
+        value += float((w[:, None] * np.abs(dev)).sum())
         if with_grad:
+            s = np.sign(dev)
             piece_s = np.zeros((n_r, 3))
             for c in range(3):
                 piece_s[:, c] = np.bincount(lab, weights=s[:, c], minlength=n_r)
@@ -196,9 +188,8 @@ def temporal_consistency(
     flows: dict[int, PointFlowSet],
     frame_set: FrameSet,
     with_grad: bool = False,
-    norm: str = "l1",
 ) -> LossValue:
-    """Penalize per-frame velocities that deviate from their mean.
+    """Mean absolute deviation of per-frame velocities from their mean.
 
     Displacements are divided by their signed offset, so a backward frame
     contributes a forward velocity and constant-velocity motion is the
@@ -214,17 +205,10 @@ def temporal_consistency(
     vel = np.stack([flows[t].flows / t for t in offsets])  # (T, N, 3)
     vbar = vel.mean(axis=0)
     x = vbar[None] - vel
-    if norm == "l1":
-        value = float(np.abs(x).sum()) / (n * n_t)
-        s = np.sign(x)
-    elif norm == "l2":
-        mag = np.linalg.norm(x, axis=2)
-        value = float(mag.sum()) / (n * n_t)
-        s = np.divide(x, mag[..., None], out=np.zeros_like(x), where=mag[..., None] > 0)
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
+    value = float(np.abs(x).sum()) / (n * n_t)
     if not with_grad:
         return LossValue(value)
+    s = np.sign(x)
     s_sum = s.sum(axis=0)  # (N, 3)
     grads = {}
     for k, t in enumerate(offsets):

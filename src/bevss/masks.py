@@ -46,13 +46,11 @@ class StaticDynamicMask:
         return self.status.shape[0]
 
 
-def classify_point(f2d, f3d, thr: MaskThresholds) -> int:
-    """Threshold rule: static iff |f2d| < tau_2d and |f3d| < tau_3d."""
-    m2 = float(np.linalg.norm(np.asarray(f2d, dtype=np.float64)))
-    m3 = float(np.linalg.norm(np.asarray(f3d, dtype=np.float64)))
-    if m2 < thr.tau_2d and m3 < thr.tau_3d:
-        return STATIC
-    return DYNAMIC
+def classify(f2d: np.ndarray, f3d: np.ndarray, thr: MaskThresholds) -> np.ndarray:
+    """Threshold rule on (N,2) and (N,3) flows: static iff |f2d| < tau_2d and
+    |f3d| < tau_3d. A NaN lift counts as dynamic. Returns (N,) uint8."""
+    static = (np.linalg.norm(f2d, axis=1) < thr.tau_2d) & (np.linalg.norm(f3d, axis=1) < thr.tau_3d)
+    return np.where(static, STATIC, DYNAMIC).astype(np.uint8)
 
 
 def build_mask(
@@ -99,29 +97,10 @@ def build_mask(
         uv_next = hom_next[:, :2] / hom_next[:, 2:3]
         f2d = total - (uv_next - uv)
 
-        f3d = lift_flow_many(f2d, pts, cam_t)
-        m2 = np.linalg.norm(f2d, axis=1)
-        m3 = np.linalg.norm(f3d, axis=1)
-        static = (m2 < thr.tau_2d) & (m3 < thr.tau_3d)  # NaN lift -> dynamic
-        status[idx] = np.where(static, STATIC, DYNAMIC).astype(np.uint8)
+        status[idx] = classify(f2d, lift_flow_many(f2d, pts, cam_t), thr)
         assigned[idx] = True
 
     # Ground override: height rule wins over any flow evidence.
     ground = cloud.points[:, 2] < thr.ground_z
     status[ground] = STATIC
     return StaticDynamicMask(frame_index=cloud.frame_index, status=status)
-
-
-def split(cloud: PointCloud, mask: StaticDynamicMask):
-    """Partition into (dynamic cloud, static cloud, (dyn_idx, static_idx)).
-
-    Unknown points go to the static side: no fake flow should be learned
-    on unobserved points.
-    """
-    if len(cloud) != len(mask):
-        raise ValueError("cloud and mask lengths differ")
-    dyn_idx = np.nonzero(mask.status == DYNAMIC)[0]
-    static_idx = np.nonzero(mask.status != DYNAMIC)[0]
-    dyn = PointCloud(cloud.frame_index, cloud.points[dyn_idx])
-    stat = PointCloud(cloud.frame_index, cloud.points[static_idx])
-    return dyn, stat, (dyn_idx, static_idx)

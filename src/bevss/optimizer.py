@@ -7,15 +7,18 @@ recover the true motion.
 """
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BevMotionField, FrameSet, PointFlowSet, cell_indices
+from .grid import BevMotionField, FrameSet, PointFlowSet, cell_indices, gather_flows
 from .losses import LossValue, LossWeights, masked_chamfer, rigidity, temporal_consistency, total
 from .masks import DYNAMIC, MaskThresholds, StaticDynamicMask, build_mask
 from .pieces import PieceParams, build_pieces
-from .synth import SceneBundle
+from .scene import SceneBundle
+
+LR_DECAY = 0.5  # learning-rate factor applied every LR_DECAY_EVERY iterations
+LR_DECAY_EVERY = 100
 
 
 class DivergenceError(RuntimeError):
@@ -28,13 +31,10 @@ class DivergenceError(RuntimeError):
 class OptimConfig:
     max_iters: int = 500
     learning_rate: float = 0.05  # meters per step
-    lr_decay: float = 0.5  # applied every lr_decay_every iterations
-    lr_decay_every: int = 100
     convergence_tol: float = 1e-5  # relative loss change over 10 iterations
     frame_set: FrameSet = FrameSet()
     weights: LossWeights = LossWeights()
     use_mask: bool = True  # False = plain Chamfer on the full clouds
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1 or self.learning_rate <= 0:
@@ -87,11 +87,7 @@ def field_loss_and_gradients(bundle: SceneBundle, fields: dict, cfg: OptimConfig
     idx, valid = cell_indices(cloud0.points, bundle.grid)
     offsets = list(cfg.frame_set.offsets)
 
-    flows = {}
-    for t in offsets:
-        f = np.zeros((len(cloud0), 3))
-        f[valid, :2] = fields[t][idx[valid, 0], idx[valid, 1]]
-        flows[t] = PointFlowSet(time_offset=t, flows=f)
+    flows = {t: PointFlowSet(time_offset=t, flows=gather_flows(fields[t], idx, valid)) for t in offsets}
 
     masks = dict(bundle.pseudo_masks) if cfg.use_mask else _all_dynamic_masks(bundle)
     w = cfg.weights
@@ -149,8 +145,8 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
     converged = False
 
     for it in range(cfg.max_iters):
-        if it > 0 and it % cfg.lr_decay_every == 0:
-            lr *= cfg.lr_decay
+        if it > 0 and it % LR_DECAY_EVERY == 0:
+            lr *= LR_DECAY
         components, cell_grads = field_loss_and_gradients(bundle, fields, cfg)
         trajectory.append({"iter": it, **components})
         loss = components["total"]

@@ -188,7 +188,7 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
 
     Labels are visited in ascending order. A merge adds a connected fragment
     next to the receiving label, so a label that starts in one component
-    stays so: only the labels split at the start need the full-image pass.
+    stays so: only the labels split at the start need the merge pass.
     """
     out = labels.copy()
     structure = np.ones((3, 3), dtype=bool)
@@ -198,7 +198,15 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
         if box is not None and ndimage.label(labels[box] == lab, structure=structure)[1] > 1
     ]
     for lab in split:
-        comp, ncomp = ndimage.label(out == lab, structure=structure)
+        # Work in the label's current bounding box grown by one pixel: it holds
+        # every fragment and its dilation ring, and raster order inside it is
+        # the image's, so component numbers and merges match a full-image pass.
+        # Earlier merges may have grown the label, so the box is taken anew.
+        hit = out == lab
+        rows = np.flatnonzero(hit.any(axis=1))
+        cols = np.flatnonzero(hit.any(axis=0))
+        sub = out[max(rows[0] - 1, 0) : rows[-1] + 2, max(cols[0] - 1, 0) : cols[-1] + 2]
+        comp, ncomp = ndimage.label(sub == lab, structure=structure)
         if ncomp <= 1:
             continue
         sizes = ndimage.sum_labels(np.ones_like(comp), comp, range(1, ncomp + 1))
@@ -208,10 +216,10 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
                 continue
             mask = comp == frag
             ring = ndimage.binary_dilation(mask, structure=structure) & ~mask
-            ring &= out != lab
+            ring &= sub != lab
             if np.any(ring):
-                vals, counts = np.unique(out[ring], return_counts=True)
-                out[mask] = vals[np.argmax(counts)]
+                vals, counts = np.unique(sub[ring], return_counts=True)
+                sub[mask] = vals[np.argmax(counts)]
             # A fragment surrounded by its own label keeps it.
     return _compact_labels(out)
 

@@ -1,8 +1,7 @@
 """LiDAR <-> camera geometry.
 
-Covers point-to-pixel projection, the optical flow a static point shows
-purely due to ego motion, and lifting a residual 2D flow back to a planar
-3D displacement under the zero-vertical-motion constraint.
+Covers point-to-pixel projection and lifting a residual 2D flow back to
+a planar 3D displacement under the zero-vertical-motion constraint.
 """
 
 from dataclasses import dataclass
@@ -10,11 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS_DEPTH = 1e-3  # behind-camera rejection, meters of depth scale
-COND_LIMIT = 1e8
 
 
 class UnliftableDepthError(ValueError):
-    """The fixed-z lift matrix is singular or ill-conditioned."""
+    """The fixed-z lift matrix is singular."""
 
 
 @dataclass(frozen=True)
@@ -81,93 +79,49 @@ def project_many(points: np.ndarray, cam: CalibratedCamera):
     return uv, w, valid
 
 
-def project(p, cam: CalibratedCamera):
-    """Project one point; returns (u, v, w) or None when invalid."""
-    uv, w, valid = project_many(np.asarray(p, dtype=np.float64).reshape(1, 3), cam)
-    if not valid[0]:
-        return None
-    return float(uv[0, 0]), float(uv[0, 1]), float(w[0])
-
-
-def ego_flow(p, cam_t: CalibratedCamera, cam_next: CalibratedCamera):
-    """Pixel displacement of a world-static point induced by sensor motion.
-
-    cam_next is the same physical camera at t+dt; its projection matrix
-    folds in the ego motion. Returns (du, dv) or None when the point does
-    not project validly into both frames.
-    """
-    a = project(p, cam_t)
-    b = project(p, cam_next)
-    if a is None or b is None:
-        return None
-    return b[0] - a[0], b[1] - a[1]
-
-
-def motion_flow(flow_img: FlowImage, p, cam_t: CalibratedCamera, cam_next: CalibratedCamera):
-    """Object-induced 2D flow at p: sampled total flow minus ego flow.
-
-    The flow image is sampled nearest-neighbor at the rounded pixel; flow
-    images are discontinuous at object boundaries, so interpolation would
-    smear across them.
-    """
-    proj = project(p, cam_t)
-    if proj is None:
-        return None
-    ef = ego_flow(p, cam_t, cam_next)
-    if ef is None:
-        return None
-    u = min(int(round(proj[0])), cam_t.width - 1)
-    v = min(int(round(proj[1])), cam_t.height - 1)
-    total = flow_img.data[v, u].astype(np.float64)
-    return np.array([total[0] - ef[0], total[1] - ef[1]])
-
-
-def lift_matrix(cam: CalibratedCamera, z: float) -> np.ndarray:
-    """3x3 map (x, y, 1) -> homogeneous pixel at fixed height z.
+def lift_matrix(cam: CalibratedCamera, z: np.ndarray) -> np.ndarray:
+    """(N,3,3) maps (x, y, 1) -> homogeneous pixel at the fixed heights z (N,).
 
     Derived from w (u,v,1)^T = T (x,y,z,1)^T with z held constant:
     M(z) = [col0 | col1 | z*col2 + col3].
     """
     t = cam.proj
-    return np.column_stack([t[:, 0], t[:, 1], z * t[:, 2] + t[:, 3]])
+    z = np.asarray(z, dtype=np.float64)
+    m = np.empty((z.shape[0], 3, 3))
+    m[:, :, 0] = t[:, 0]
+    m[:, :, 1] = t[:, 1]
+    m[:, :, 2] = z[:, None] * t[:, 2] + t[:, 3]
+    return m
 
 
 def lift_flow(f2d, p, cam: CalibratedCamera) -> np.ndarray:
-    """Lift a residual pixel flow at p to a planar 3D displacement.
+    """Lift one residual pixel flow at p: lift_flow_many on a single row.
 
-    The flow endpoint pixel (u', v') = project(p) + f2d is back-projected
-    at the point's own height, giving (x'-x, y'-y, 0).
+    Raises UnliftableDepthError where the batched lift returns NaN.
     """
-    p = np.asarray(p, dtype=np.float64)
-    m = lift_matrix(cam, p[2])
-    if np.linalg.cond(m) > COND_LIMIT:
-        raise UnliftableDepthError(f"unliftable depth z={p[2]}")
-    proj = project(p, cam)
-    if proj is None:
-        # Off-image endpoints still lift; only the raw projection is needed.
-        hom = cam.proj @ np.append(p, 1.0)
-        proj = (hom[0] / hom[2], hom[1] / hom[2], hom[2])
-    target = np.array([proj[0] + f2d[0], proj[1] + f2d[1], 1.0])
-    q = np.linalg.solve(m, target)
-    if abs(q[2]) < 1e-300:
-        raise UnliftableDepthError("degenerate lift solution")
-    xy = q[:2] / q[2]
-    return np.array([xy[0] - p[0], xy[1] - p[1], 0.0])
+    d = lift_flow_many(
+        np.asarray(f2d, dtype=np.float64).reshape(1, 2),
+        np.asarray(p, dtype=np.float64).reshape(1, 3),
+        cam,
+    )[0]
+    if np.isnan(d).any():
+        raise UnliftableDepthError(f"unliftable point {np.ravel(p).tolist()}")
+    return d
 
 
 def lift_flow_many(f2d: np.ndarray, points: np.ndarray, cam: CalibratedCamera) -> np.ndarray:
-    """Batched lift_flow: (N,2) flows at (N,3) points -> (N,3) displacements.
+    """Lift (N,2) residual pixel flows at (N,3) points to planar displacements.
 
-    Ill-conditioned rows come back as NaN rather than raising, so callers
-    can treat them as unclassifiable.
+    The flow endpoint pixel (u', v') = raw projection of p + f2d is
+    back-projected at the point's own height, giving (x'-x, y'-y, 0).
+    Off-image and behind-camera points still lift. Rows whose lift matrix
+    is singular (|det| <= 1e-12) come back as NaN, so callers can treat
+    them as unclassifiable.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     t = cam.proj
-    m = np.empty((n, 3, 3))
-    m[:, :, 0] = t[:, 0]
-    m[:, :, 1] = t[:, 1]
-    m[:, :, 2] = pts[:, 2, None] * t[:, 2] + t[:, 3]
+    m = lift_matrix(cam, pts[:, 2])
     hom = pts @ t[:, :3].T + t[:, 3]
     uv = hom[:, :2] / hom[:, 2:3]
     target = np.concatenate([uv + f2d, np.ones((n, 1))], axis=1)

@@ -6,15 +6,14 @@ motion. Everything is deterministic from the scene seed.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, cell_indices
-from .masks import StaticDynamicMask
-from .pieces import RigidPieces
-from .projection import EPS_DEPTH, CalibratedCamera, FlowImage
+from .projection import EPS_DEPTH, CalibratedCamera, FlowImage, project_many
+from .scene import SceneBundle
 
 
 @dataclass(frozen=True)
@@ -75,36 +74,6 @@ class SceneSpec:
     noise_sigma: float = 0.0
     flow_noise_px: float = 0.0
     seed: int = 0
-
-
-@dataclass
-class SceneBundle:
-    """Everything one scene provides: inputs, calibration, and oracles."""
-
-    grid: BevGridSpec
-    frame_set: FrameSet
-    clouds: dict  # frame -> PointCloud (frames T and 0)
-    cameras: dict  # (camera_id, frame) -> CalibratedCamera
-    flow_images: dict  # (camera_id, t) -> FlowImage for the pair (t, t+1)
-    gt_fields: dict  # t -> BevMotionField
-    gt_masks: dict  # frame -> (N,) uint8, 1 = dynamic
-    gt_instances: dict  # frame -> (N,) int32, -1 = background
-    visibility: dict  # frame -> (N,) bool, visible in at least one camera
-    actor_velocities: np.ndarray  # (A, 2) meters per frame
-    camera_ids: tuple
-    pseudo_masks: dict = field(default_factory=dict)  # frame -> StaticDynamicMask
-    pieces: RigidPieces | None = None
-
-    @property
-    def mask_frames(self):
-        return sorted(set(self.frame_set.offsets) | {0})
-
-    def cam_pair(self, frame: int):
-        """Per-camera (camera at frame, camera at frame+1) tuples."""
-        return [(self.cameras[(k, frame)], self.cameras[(k, frame + 1)]) for k in self.camera_ids]
-
-    def frame_flows(self, frame: int):
-        return [self.flow_images[(k, frame)] for k in self.camera_ids]
 
 
 def _rot_z(deg: float) -> np.ndarray:
@@ -179,30 +148,20 @@ def _sample_box(box: SurfaceBox, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _project_raw(points: np.ndarray, proj: np.ndarray):
-    hom = points @ proj[:, :3].T + proj[:, 3]
-    w = hom[:, 2]
-    safe = np.where(np.abs(w) > 1e-300, w, 1.0)
-    return hom[:, :2] / safe[:, None], w
-
-
 def _flow_image(
-    cam: PinholeCamera,
-    proj_t: np.ndarray,
-    proj_next: np.ndarray,
+    cam_t: CalibratedCamera,
+    cam_next: CalibratedCamera,
     pos_t: np.ndarray,
     pos_next: np.ndarray,
-    camera_id: int,
-    frame: int,
 ) -> tuple[FlowImage, np.ndarray, np.ndarray]:
     """Analytic flow by z-buffer splatting of the sampled surface points.
 
     Returns (flow image, per-point pixel key or -1, per-point depth).
     Empty pixels inherit the flow of the nearest owned pixel.
     """
-    h, w_px = cam.height, cam.width
-    uv_t, w_t = _project_raw(pos_t, proj_t)
-    uv_n, w_n = _project_raw(pos_next, proj_next)
+    h, w_px = cam_t.height, cam_t.width
+    uv_t, w_t, _ = project_many(pos_t, cam_t)
+    uv_n, w_n, _ = project_many(pos_next, cam_next)
     u = np.rint(uv_t[:, 0]).astype(np.int64)
     v = np.rint(uv_t[:, 1]).astype(np.int64)
     ok = (w_t > EPS_DEPTH) & (w_n > EPS_DEPTH) & (u >= 0) & (u < w_px) & (v >= 0) & (v < h)
@@ -225,7 +184,7 @@ def _flow_image(
             _, (iy, ix) = ndimage.distance_transform_edt(~owned2, return_indices=True)
             data = data[iy, ix]
     return (
-        FlowImage(camera_id=camera_id, frame_index=frame, dt=1, data=data),
+        FlowImage(camera_id=cam_t.camera_id, frame_index=cam_t.frame_index, dt=1, data=data),
         key,
         w_t,
     )
@@ -294,13 +253,7 @@ def generate(spec: SceneSpec) -> SceneBundle:
         visible = np.zeros(len(pos_t), dtype=bool)
         for cam in spec.cameras:
             img, key, depth = _flow_image(
-                cam,
-                cameras[(cam.camera_id, t)].proj,
-                cameras[(cam.camera_id, t + 1)].proj,
-                pos_t,
-                pos_n,
-                cam.camera_id,
-                t,
+                cameras[(cam.camera_id, t)], cameras[(cam.camera_id, t + 1)], pos_t, pos_n
             )
             if spec.flow_noise_px > 0:
                 noisy = img.data + rng.normal(0.0, spec.flow_noise_px, img.data.shape)

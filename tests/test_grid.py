@@ -12,12 +12,19 @@ from bevss.grid import (
     PointCloud,
     PointFlowSet,
     cell_indices,
-    cell_of,
     field_to_point_flows,
     warp,
 )
 
 SPEC = BevGridSpec()
+
+
+def cell_of(p, spec):
+    """cell_indices on one point: (ix, iy), or None if out of range."""
+    idx, valid = cell_indices(np.asarray(p, dtype=np.float64).reshape(1, 3), spec)
+    if not valid[0]:
+        return None
+    return int(idx[0, 0]), int(idx[0, 1])
 
 
 def test_default_grid_is_256_by_256():

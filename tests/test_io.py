@@ -1,5 +1,7 @@
 """Binary formats and the scene manifest: round trips and failure modes."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,8 +162,6 @@ def test_scene_manifest_cross_checks_lengths(tmp_path, one_box):
     out = str(tmp_path / "scene")
     manifest = fileio.save_scene(one_box, out)
     # Corrupt one per-point file so its length no longer matches the cloud.
-    import os
-
     target = os.path.join(out, "gt", "mask_0.msk")
     status = fileio.load_mask_bytes(target)
     fileio.save_mask_bytes(target, status[:-3])
@@ -176,3 +176,53 @@ def test_scene_manifest_rejects_unknown_keys(tmp_path, one_box):
         fh.write("surprise: 1\n")
     with pytest.raises(fileio.InconsistentCountsError):
         fileio.load_scene(manifest)
+
+
+def _edit_manifest_line(prefix, replacement):
+    def edit(out):
+        path = os.path.join(out, fileio.MANIFEST_NAME)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[k] = replacement
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return rf"manifest:{k + 1}\b"
+
+    return edit
+
+
+def _label_beyond_piece_count(out):
+    path = os.path.join(out, "gt", "inst_0.seg")
+    blob = bytearray(open(path, "rb").read())
+    blob[8:12] = np.int32(0).tobytes()  # piece_count 0, yet labels reach 0
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    return "inst_0.seg"
+
+
+def _zero_offset(out):
+    _edit_manifest_line("frames:", "frames: 0,1,2")(out)
+    return "offset 0"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _edit_manifest_line("frames:", "frames: -1,x,2"),
+        _edit_manifest_line("velocities:", "velocities: 1 2 3"),
+        _edit_manifest_line("  proj:", "  proj: " + " ".join(["1.0"] * 11)),
+        _edit_manifest_line("cloud 0:", "cloud: clouds/frame_0.pcb"),
+        _edit_manifest_line("  size:", "  size: 480"),
+        _edit_manifest_line("frame_interval:", ": 0.5"),
+        _zero_offset,
+        _label_beyond_piece_count,
+    ],
+    ids=["frames", "velocities", "proj", "cloud-index", "size", "no-key", "zero-offset", "seg-label"],
+)
+def test_malformed_scene_raises_named_io_error(tmp_path, one_box, corrupt):
+    out = str(tmp_path / "scene")
+    fileio.save_scene(one_box, out)
+    where = corrupt(out)
+    with pytest.raises(fileio.InconsistentCountsError, match=where):
+        fileio.load_scene(out)
+

@@ -150,12 +150,6 @@ def test_rigidity_empty_pieces_is_zero():
     assert np.all(res.grad[1] == 0.0)
 
 
-def test_rigidity_rejects_unknown_norm():
-    pieces = RigidPieces(0, np.zeros(2, dtype=np.int32), 1)
-    with pytest.raises(ValueError):
-        rigidity(pieces, {1: PointFlowSet(1, np.zeros((2, 3)))}, norm="linf")
-
-
 def test_temporal_consistency_hand_computed():
     # Velocities per frame: v(-1) = (1,0,0) from flow (-1,0,0); v(1) = (1,0,0);
     # v(2) = (4,0,0) from flow (8,0,0). Mean velocity (2,0,0); |dev| = 1+1+2.

@@ -1,4 +1,4 @@
-"""Camera projection, ego flow, and the fixed-height flow lift."""
+"""Camera projection and the fixed-height flow lift."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,20 @@ from bevss.projection import (
     CalibratedCamera,
     FlowImage,
     UnliftableDepthError,
-    ego_flow,
     lift_flow,
     lift_flow_many,
     lift_matrix,
-    motion_flow,
-    project,
     project_many,
 )
 from bevss.synth import EgoMotion, PinholeCamera, camera_matrix
+
+
+def project(p, cam):
+    """project_many on one point; returns (u, v, w) or None when invalid."""
+    uv, w, valid = project_many(np.asarray(p, dtype=np.float64).reshape(1, 3), cam)
+    if not valid[0]:
+        return None
+    return float(uv[0, 0]), float(uv[0, 1]), float(w[0])
 
 
 def make_camera(frame=0, ego=EgoMotion(), yaw_deg=0.0, position=(0.0, 0.0, 0.0), f=250.0):
@@ -72,34 +77,6 @@ def test_camera_center_recovers_mounting_position():
     np.testing.assert_allclose(cam.center(), [0.5, -0.25, 0.1], atol=1e-9)
 
 
-def test_static_point_ego_flow_matches_camera_motion():
-    ego = EgoMotion(velocity=(1.0, 0.0))
-    cam0 = make_camera(frame=0, ego=ego)
-    cam1 = make_camera(frame=1, ego=ego)
-    p = (10.0, 1.0, 0.0)
-    du, dv = ego_flow(p, cam0, cam1)
-    # Approaching a point left of the axis pushes it further left on screen.
-    a = project(p, cam0)
-    b = project(p, cam1)
-    assert du == pytest.approx(b[0] - a[0])
-    assert dv == pytest.approx(b[1] - a[1])
-    assert du < 0.0
-
-
-def test_motion_flow_subtracts_ego_component():
-    ego = EgoMotion(velocity=(1.0, 0.0))
-    cam0 = make_camera(frame=0, ego=ego)
-    cam1 = make_camera(frame=1, ego=ego)
-    p = (10.0, 1.0, 0.0)
-    ef = ego_flow(p, cam0, cam1)
-    data = np.zeros((240, 480, 2), dtype=np.float32)
-    data[:, :, 0] = ef[0] + 3.0
-    data[:, :, 1] = ef[1] - 2.0
-    flow_img = FlowImage(0, 0, 1, data)
-    residual = motion_flow(flow_img, p, cam0, cam1)
-    assert residual == pytest.approx([3.0, -2.0], abs=1e-5)
-
-
 def test_camera_validation():
     with pytest.raises(ValueError):
         CalibratedCamera(0, 0, np.zeros((3, 3)), 480, 240)
@@ -139,7 +116,7 @@ def test_lift_inverts_projection_difference(seed, yaw):
 def test_lift_matrix_shape_and_consistency():
     cam = make_camera()
     p = np.array([12.0, 2.0, -0.8])
-    m = lift_matrix(cam, p[2])
+    m = lift_matrix(cam, [p[2]])[0]
     hom = m @ np.array([p[0], p[1], 1.0])
     uvw = project(p, cam)
     assert hom[0] / hom[2] == pytest.approx(uvw[0])

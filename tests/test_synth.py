@@ -5,7 +5,7 @@ import pytest
 
 from bevss import synth
 from bevss.grid import FrameSet, cell_indices
-from bevss.projection import project
+from bevss.projection import project_many
 from bevss.synth import (
     Actor,
     EgoMotion,
@@ -123,10 +123,11 @@ def test_camera_matrix_static_projection():
     from bevss.projection import CalibratedCamera
 
     calib = CalibratedCamera(0, 0, calibrated_proj, 480, 240)
-    u, v, w = project((10.0, 0.0, 0.0), calib)
-    assert u == pytest.approx(240.0)
-    assert v == pytest.approx(120.0)
-    assert w == pytest.approx(10.0)
+    uv, w, valid = project_many(np.array([[10.0, 0.0, 0.0]]), calib)
+    assert valid[0]
+    assert uv[0, 0] == pytest.approx(240.0)
+    assert uv[0, 1] == pytest.approx(120.0)
+    assert w[0] == pytest.approx(10.0)
 
 
 def test_camera_matrix_translates_with_ego():
@@ -137,9 +138,10 @@ def test_camera_matrix_translates_with_ego():
     calib1 = CalibratedCamera(0, 1, camera_matrix(cam, ego, 1), 480, 240)
     # At frame 1 the camera sits at world x=2: a point at x=12 projects like
     # a point at x=10 does for the frame-0 camera.
-    u, v, w = project((12.0, 0.0, 0.0), calib1)
-    assert u == pytest.approx(240.0)
-    assert w == pytest.approx(10.0)
+    uv, w, valid = project_many(np.array([[12.0, 0.0, 0.0]]), calib1)
+    assert valid[0]
+    assert uv[0, 0] == pytest.approx(240.0)
+    assert w[0] == pytest.approx(10.0)
 
 
 def test_flow_images_encode_static_geometry():
