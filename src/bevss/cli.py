@@ -21,10 +21,6 @@ from .optimizer import OptimConfig, optimize, prepare_supervision
 from .pieces import PieceParams, oversegment
 
 
-def _field_name(t: int) -> str:
-    return f"field_m{-t}.bev" if t < 0 else f"field_{t}.bev"
-
-
 def _parse_frames(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
@@ -87,7 +83,7 @@ def cmd_labels(args) -> int:
 def _load_pred_fields(pred_dir: str, bundle):
     fields = {}
     for t in bundle.frame_set.offsets:
-        fields[t] = fileio.load_field(os.path.join(pred_dir, _field_name(t)), bundle.grid)
+        fields[t] = fileio.load_field(fileio.field_path(pred_dir, t), bundle.grid)
     return fields
 
 
@@ -123,7 +119,7 @@ def cmd_optimize(args) -> int:
     fields, report = optimize(bundle, cfg)
     os.makedirs(args.out, exist_ok=True)
     for t, fld in fields.items():
-        fileio.save_field(os.path.join(args.out, _field_name(t)), fld)
+        fileio.save_field(fileio.field_path(args.out, t), fld)
     last = report.trajectory[-1]
     lines = [
         f"iterations={report.iterations}",
@@ -144,7 +140,7 @@ def cmd_eval(args) -> int:
     bundle = fileio.load_scene(args.scene)
     horizon_frames = args.horizon / bundle.frame_set.frame_interval_s
     for t in bundle.frame_set.offsets:
-        pred = fileio.load_field(os.path.join(args.pred, _field_name(t)), bundle.grid)
+        pred = fileio.load_field(fileio.field_path(args.pred, t), bundle.grid)
         gt = bundle.gt_fields[t]
         pred_h = evaluation.interpolate_flow(pred, horizon_frames)
         gt_h = evaluation.interpolate_flow(gt, horizon_frames)
@@ -189,7 +185,7 @@ def cmd_render(args) -> int:
     spec = bundle.grid
     if args.what == "field":
         fld = bundle.gt_fields[args.t] if not args.pred else fileio.load_field(
-            os.path.join(args.pred, _field_name(args.t)), spec
+            fileio.field_path(args.pred, args.t), spec
         )
         mag = np.linalg.norm(fld.values, axis=2)
         peak = max(mag.max(), 1e-9)

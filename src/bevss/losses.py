@@ -6,7 +6,6 @@ recomputed per evaluation and held fixed within one gradient computation
 (the standard subgradient for piecewise-smooth NN objectives).
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +14,6 @@ from scipy.spatial import cKDTree
 from .grid import FrameSet, PointCloud, PointFlowSet
 from .masks import DYNAMIC, StaticDynamicMask
 from .pieces import RigidPieces
-
-
-def _workers() -> int:
-    return int(os.environ.get("BEVSS_THREADS", "-1") or -1)
 
 
 @dataclass(frozen=True)
@@ -43,9 +38,9 @@ class LossWeights:
 def chamfer_pairs(a: np.ndarray, b: np.ndarray):
     """Nearest-neighbor index maps (a->b, b->a) for the Chamfer terms."""
     tree_b = cKDTree(b)
-    _, a_to_b = tree_b.query(a, workers=_workers())
+    _, a_to_b = tree_b.query(a)
     tree_a = cKDTree(a)
-    _, b_to_a = tree_a.query(b, workers=_workers())
+    _, b_to_a = tree_a.query(b)
     return a_to_b, b_to_a
 
 
@@ -226,7 +221,7 @@ def smoothness(
     if len(flows) != n:
         raise ValueError("cloud and flow lengths differ")
     tree = cKDTree(cloud.points)
-    _, nbr = tree.query(cloud.points, k=k + 1, workers=_workers())
+    _, nbr = tree.query(cloud.points, k=k + 1)
     nbr = nbr[:, 1:]  # drop self
     f = flows.flows
     diffs = f[:, None, :] - f[nbr]  # (N, k, 3)

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .grid import BevGridSpec, PointCloud, cell_indices
 from .projection import CalibratedCamera, FlowImage, project_many
@@ -303,37 +305,23 @@ def fuse_by_height(
     splits into stacked segments that land in the same BEV cells.
     """
     n_labels = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
-    parent = np.arange(n_labels)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    idx, in_range = cell_indices(cloud.points, spec)
-    valid = (labels >= 0) & in_range
-    if np.any(valid):
-        cell_key = idx[valid, 0].astype(np.int64) * spec.cells_y + idx[valid, 1]
-        lab = labels[valid]
-        order = np.lexsort((lab, cell_key))
-        ck = cell_key[order]
-        lb = lab[order]
-        same_cell = ck[1:] == ck[:-1]
-        for a, b in zip(lb[:-1][same_cell], lb[1:][same_cell]):
-            if a != b:
-                union(int(a), int(b))
-
     fused = np.full(len(cloud), -1, dtype=np.int32)
     has = labels >= 0
     if n_labels:
-        roots = np.array([find(i) for i in range(n_labels)])
-        fused[has] = roots[labels[has]]
+        # Labels that share a cell are linked; each connected component takes
+        # its smallest label as its id.
+        idx, in_range = cell_indices(cloud.points, spec)
+        valid = has & in_range
+        cell_key = idx[valid, 0].astype(np.int64) * spec.cells_y + idx[valid, 1]
+        lab = labels[valid]
+        order = np.lexsort((lab, cell_key))
+        ck, lb = cell_key[order], lab[order]
+        same_cell = ck[1:] == ck[:-1]
+        links = (np.ones(int(same_cell.sum())), (lb[:-1][same_cell], lb[1:][same_cell]))
+        n_comp, component = connected_components(coo_matrix(links, shape=(n_labels, n_labels)), directed=False)
+        smallest = np.full(n_comp, n_labels)
+        np.minimum.at(smallest, component, np.arange(n_labels))
+        fused[has] = smallest[component][labels[has]]
 
     # Compact to 0..N_r-1 and drop undersized pieces.
     uniq, counts = np.unique(fused[fused >= 0], return_counts=True)

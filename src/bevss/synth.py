@@ -71,7 +71,6 @@ class SceneSpec:
     cameras: tuple
     frame_set: FrameSet = FrameSet()
     grid: BevGridSpec = BevGridSpec()
-    noise_sigma: float = 0.0
     flow_noise_px: float = 0.0
     seed: int = 0
 
@@ -270,10 +269,7 @@ def generate(spec: SceneSpec) -> SceneBundle:
         speeds = np.linalg.norm(vel[: len(spec.actors)], axis=1)
         moving = (inst >= 0) & (speeds[np.clip(inst, 0, None)] > 0)
     for t in frames:
-        p = pos_at(t)
-        if spec.noise_sigma > 0:
-            p = p + rng.normal(0.0, spec.noise_sigma, p.shape)
-        clouds[t] = PointCloud(frame_index=t, points=p)
+        clouds[t] = PointCloud(frame_index=t, points=pos_at(t))
         gt_masks[t] = moving.astype(np.uint8)
         gt_instances[t] = inst.copy()
 

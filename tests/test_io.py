@@ -1,6 +1,7 @@
 """Binary formats and the scene manifest: round trips and failure modes."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -88,6 +89,11 @@ def test_missing_file_raises_not_found():
         fileio.load_cloud("/nonexistent/cloud.pcb")
     with pytest.raises(fileio.NotFoundError):
         fileio.load_scene("/nonexistent/manifest")
+
+
+def test_unreadable_path_raises_not_found(tmp_path):
+    with pytest.raises(fileio.NotFoundError):
+        fileio.load_cloud(str(tmp_path))  # a directory, not a file
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -200,6 +206,12 @@ def _label_beyond_piece_count(out):
     return "inst_0.seg"
 
 
+def _non_utf8_line(out):
+    with open(os.path.join(out, fileio.MANIFEST_NAME), "ab") as fh:
+        fh.write(b"\xff\xfe: 1\n")
+    return r"manifest:\d+\b"
+
+
 def _zero_offset(out):
     _edit_manifest_line("frames:", "frames: 0,1,2")(out)
     return "offset 0"
@@ -216,8 +228,9 @@ def _zero_offset(out):
         _edit_manifest_line("frame_interval:", ": 0.5"),
         _zero_offset,
         _label_beyond_piece_count,
+        _non_utf8_line,
     ],
-    ids=["frames", "velocities", "proj", "cloud-index", "size", "no-key", "zero-offset", "seg-label"],
+    ids=["frames", "velocities", "proj", "cloud-index", "size", "no-key", "zero-offset", "seg-label", "non-utf8"],
 )
 def test_malformed_scene_raises_named_io_error(tmp_path, one_box, corrupt):
     out = str(tmp_path / "scene")
@@ -226,3 +239,142 @@ def test_malformed_scene_raises_named_io_error(tmp_path, one_box, corrupt):
     with pytest.raises(fileio.InconsistentCountsError, match=where):
         fileio.load_scene(out)
 
+
+
+def _nan_cloud(path):
+    fileio.save_cloud(path, PointCloud(0, np.zeros((4, 3))))
+    return 8 + 5 * 4  # the second point's y
+
+
+def _nan_field(path):
+    fileio.save_field(path, BevMotionField(SPEC, 1, np.zeros((SPEC.cells_x, SPEC.cells_y, 2))))
+    return 16 + 4 * 1001
+
+
+def _nan_flow(path):
+    fileio.save_flow(path, FlowImage(0, 0, 1, np.zeros((3, 5, 2), dtype=np.float32)))
+    return 12 + 4 * 17
+
+
+def _load_field(path):
+    return fileio.load_field(path, SPEC)
+
+
+@pytest.mark.parametrize(
+    "write, load",
+    [(_nan_cloud, fileio.load_cloud), (_nan_field, _load_field), (_nan_flow, fileio.load_flow)],
+    ids=["pcb", "bev", "flw"],
+)
+def test_non_finite_value_raises_named_io_error(tmp_path, write, load):
+    path = str(tmp_path / "bad.bin")
+    offset = write(path)
+    blob = bytearray(open(path, "rb").read())
+    blob[offset : offset + 4] = np.float32(np.nan).tobytes()
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    with pytest.raises(fileio.IoError, match="bad.bin"):
+        load(path)
+
+
+def test_mask_status_above_two_raises_named_io_error(tmp_path):
+    path = str(tmp_path / "m.msk")
+    fileio.save_mask_bytes(path, np.array([0, 1, 3, 2], dtype=np.uint8))
+    np.testing.assert_array_equal(fileio.load_mask_bytes(path), [0, 1, 3, 2])  # raw bytes load
+    with pytest.raises(fileio.IoError, match="m.msk"):
+        fileio.load_mask(path)
+
+
+def _drop_manifest_lines(out, prefix, count):
+    path = os.path.join(out, fileio.MANIFEST_NAME)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    k = lines.index(prefix)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines[:k] + lines[k + count :]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "prefix, count, named",
+    [
+        ("camera 1 3:", 3, "frame 2 needs camera 1 3"),  # the block of frame t + 1
+        ("camera 3 -1:", 3, "frame -1 needs camera 3 -1"),
+        ("camera 3 -1:", 15, "frame -1 needs camera 3 -1"),  # every block of camera 3
+        ("flow 2 0: flows/cam2_0.flw", 1, "frame 0 needs flow 2 0"),
+        ("cloud 1: clouds/frame_1.pcb", 1, "frame 1 needs cloud 1"),
+    ],
+    ids=["camera-next", "camera", "camera-all", "flow", "cloud"],
+)
+def test_manifest_missing_what_a_frame_needs_raises_named_error(tmp_path, one_box, prefix, count, named):
+    out = str(tmp_path / "scene")
+    fileio.save_scene(one_box, out)
+    _drop_manifest_lines(out, prefix, count)
+    with pytest.raises(fileio.InconsistentCountsError, match=named):
+        fileio.load_scene(out)
+
+
+FUZZ_SPEC = BevGridSpec(-1.0, 1.0, -1.0, 1.0, cell_size=0.5)
+FUZZ_RECORDS = {
+    "pcb": (
+        lambda p: fileio.save_cloud(p, PointCloud(0, np.arange(12.0).reshape(4, 3))),
+        fileio.load_cloud,
+    ),
+    "bev": (
+        lambda p: fileio.save_field(p, BevMotionField(FUZZ_SPEC, -1, np.ones((4, 4, 2)))),
+        lambda p: fileio.load_field(p, FUZZ_SPEC),
+    ),
+    "flw": (
+        lambda p: fileio.save_flow(p, FlowImage(0, 0, 1, np.ones((3, 5, 2), dtype=np.float32))),
+        fileio.load_flow,
+    ),
+    "msk": (lambda p: fileio.save_mask(p, StaticDynamicMask(0, np.array([0, 1, 2, 1]))), fileio.load_mask),
+    "seg": (lambda p: fileio.save_pieces(p, RigidPieces(0, np.array([-1, 0, 1, 1]), 2)), fileio.load_pieces),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupt_records_load_or_raise_io_error(tmp_path_factory, data):
+    for ext, (save, load) in FUZZ_RECORDS.items():
+        path = str(tmp_path_factory.getbasetemp() / f"fuzz.{ext}")
+        save(path)
+        blob = bytearray(open(path, "rb").read())
+        length = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))), label=f"{ext} length")
+        # Overwrite whole 4-byte words after the magic (a bad magic has its
+        # own test), so that NaN floats and huge counts come up.
+        edits = st.tuples(st.integers(1, len(blob) // 4 - 1), st.binary(min_size=4, max_size=4))
+        for word, value in data.draw(st.lists(edits, min_size=1, max_size=3), label=f"{ext} edits"):
+            blob[4 * word : 4 * word + 4] = value
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob[:length]))
+        try:
+            load(path)
+        except fileio.IoError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "save, value, expected",
+    [
+        (fileio.save_cloud, PointCloud(0, np.arange(6.0).reshape(2, 3)),
+         b"PCB1" + struct.pack("<I6f", 2, 0, 1, 2, 3, 4, 5)),
+        (fileio.save_field, BevMotionField(FUZZ_SPEC, -1, np.full((4, 4, 2), 0.5)),
+         b"BEV1" + struct.pack("<iII32f", -1, 4, 4, *[0.5] * 32)),
+        (fileio.save_flow, FlowImage(0, 0, 1, np.full((3, 5, 2), 2.0, dtype=np.float32)),
+         b"FLW1" + struct.pack("<II30f", 3, 5, *[2.0] * 30)),
+        (fileio.save_mask, StaticDynamicMask(0, np.array([0, 1, 2])), b"MSK1" + struct.pack("<I3B", 3, 0, 1, 2)),
+        (fileio.save_pieces, RigidPieces(0, np.array([-1, 0, 1]), 4), b"SEG1" + struct.pack("<Ii3i", 3, 4, -1, 0, 1)),
+    ],
+    ids=["pcb", "bev", "flw", "msk", "seg"],
+)
+def test_records_have_the_documented_layout(tmp_path, save, value, expected):
+    # magic, 4-byte header words, payload: the bytes of each format are fixed
+    path = str(tmp_path / "r")
+    save(path, value)
+    assert open(path, "rb").read() == expected
+
+
+def test_scene_instance_files_record_max_label_plus_one(tmp_path, one_box):
+    out = str(tmp_path / "scene")
+    fileio.save_scene(one_box, out)
+    for t, tag in ((-1, "m1"), (0, "0"), (1, "1"), (2, "2")):
+        pieces = fileio.load_pieces(os.path.join(out, "gt", f"inst_{tag}.seg"))
+        assert pieces.piece_count == int(one_box.gt_instances[t].max()) + 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from bevss.grid import BevGridSpec, PointCloud
+from bevss.grid import BevGridSpec, PointCloud, cell_indices
 from bevss.pieces import (
     PieceParams,
     RigidPieces,
@@ -13,6 +13,7 @@ from bevss.pieces import (
     _enforce_connectivity,
     _grid_shape,
     fuse_by_height,
+    label_points,
     occlusion_filter,
     oversegment,
 )
@@ -287,3 +288,75 @@ def test_fuse_by_height_ignores_out_of_grid_points():
     pieces = fuse_by_height(PointCloud(0, pts), labels, spec, min_piece_points=5)
     assert pieces.labels[0] != pieces.labels[5]
     assert pieces.piece_count == 2
+
+
+def _union_find_fuse_by_height(cloud, labels, spec, min_piece_points=5):
+    """The union-find fuse_by_height that the connected-components one
+    replaced: same-cell label pairs are unioned, the smaller root wins."""
+    n_labels = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
+    parent = np.arange(n_labels)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    idx, in_range = cell_indices(cloud.points, spec)
+    valid = (labels >= 0) & in_range
+    if np.any(valid):
+        cell_key = idx[valid, 0].astype(np.int64) * spec.cells_y + idx[valid, 1]
+        lab = labels[valid]
+        order = np.lexsort((lab, cell_key))
+        ck, lb = cell_key[order], lab[order]
+        same_cell = ck[1:] == ck[:-1]
+        for a, b in zip(lb[:-1][same_cell], lb[1:][same_cell]):
+            if a != b:
+                union(int(a), int(b))
+
+    fused = np.full(len(cloud), -1, dtype=np.int32)
+    has = labels >= 0
+    if n_labels:
+        roots = np.array([find(i) for i in range(n_labels)])
+        fused[has] = roots[labels[has]]
+    uniq, counts = np.unique(fused[fused >= 0], return_counts=True)
+    keep = uniq[counts >= min_piece_points]
+    remap = np.full(n_labels, -1, dtype=np.int32)
+    remap[keep] = np.arange(keep.size, dtype=np.int32)
+    out = np.full(len(cloud), -1, dtype=np.int32)
+    out[has] = remap[fused[has]]
+    return out, int(keep.size)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fuse_by_height_matches_union_find_oracle(seed):
+    # Points crowd a few cells so labels chain through shared cells; some
+    # points fall outside the grid and some label ids never occur.
+    r = np.random.default_rng(seed)
+    n = int(r.integers(0, 300))
+    pts = r.uniform(-1.5, 1.5, size=(n, 3))
+    pts[r.random(n) < 0.1, 0] = 100.0
+    labels = r.integers(-1, int(r.integers(1, 80)), size=n).astype(np.int32)
+    spec = BevGridSpec()
+    pieces = fuse_by_height(PointCloud(0, pts), labels, spec, min_piece_points=3)
+    want, count = _union_find_fuse_by_height(PointCloud(0, pts), labels, spec, min_piece_points=3)
+    assert np.array_equal(pieces.labels, want)
+    assert pieces.piece_count == count
+
+
+def test_fuse_by_height_matches_union_find_oracle_on_scene(one_box):
+    cloud, spec, params = one_box.clouds[0], one_box.grid, PieceParams()
+    cams = [cam for cam, _ in one_box.cam_pair(0)]
+    segs = [oversegment(f, params) for f in one_box.frame_flows(0)]
+    labels, camera_of_label = label_points(cloud, segs, cams, params)
+    labels = occlusion_filter(cloud, labels, cams, params.delta_d, camera_of_label)
+    pieces = fuse_by_height(cloud, labels, spec, params.min_piece_points)
+    want, count = _union_find_fuse_by_height(cloud, labels, spec, params.min_piece_points)
+    assert np.array_equal(pieces.labels, want)
+    assert pieces.piece_count == count
+    assert count > 0
