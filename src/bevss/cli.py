@@ -124,6 +124,7 @@ def cmd_optimize(args) -> int:
     lines = [
         f"iterations={report.iterations}",
         f"converged={str(report.converged).lower()}",
+        f"stop_reason={report.stop_reason}",
         f"wall_time_s={_fmt(report.wall_time_s)}",
         f"loss_total={_fmt(last['total'])}",
         f"loss_mc={_fmt(last['mc'])}",

@@ -1,7 +1,7 @@
 """Finite-difference verification of every analytic loss gradient.
 
-Central differences with nearest-neighbor correspondences held fixed
-while a Chamfer-family loss is probed.
+Central differences with nearest-neighbor correspondences (Chamfer pairs,
+smoothness neighbors) held fixed while a loss is probed.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from .losses import (
     masked_chamfer,
     rigidity,
     smoothness,
+    smoothness_neighbors,
     temporal_consistency,
 )
 from .masks import StaticDynamicMask
@@ -125,9 +126,10 @@ def check_temporal(rng: np.random.Generator, n: int = 50, step: float = 1e-4) ->
 def check_smoothness(rng: np.random.Generator, n: int = 50, step: float = 1e-4) -> float:
     cloud = PointCloud(0, rng.normal(size=(n, 3)))
     flows = rng.normal(size=(n, 3))
-    res = smoothness(cloud, PointFlowSet(1, flows.copy()), k=4, with_grad=True)
+    nbr = smoothness_neighbors(cloud.points, 4)
+    res = smoothness(cloud, PointFlowSet(1, flows.copy()), k=4, with_grad=True, neighbors=nbr)
     return _fd_err(
-        lambda: smoothness(cloud, PointFlowSet(1, flows.copy()), k=4).value,
+        lambda: smoothness(cloud, PointFlowSet(1, flows.copy()), k=4, neighbors=nbr).value,
         flows,
         res.grad[1],
         step,

@@ -4,17 +4,25 @@ Instead of training a network, the per-cell fields for all predicted
 offsets are fitted jointly by gradient descent on the total
 self-supervised loss, which shows that the supervision signals alone
 recover the true motion.
+
+Every loss term sees a frame-0 point only through the flow of its BEV
+cell, so the descent runs in cell space: the fields are (n_occupied, 2)
+arrays over the cells that hold frame-0 points, and the losses are
+evaluated once per group of points that share a cell (and a rigid piece),
+weighted by the group's size. Only the fields handed back are dense.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .grid import BevMotionField, FrameSet, PointFlowSet, cell_indices, gather_flows
+from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, PointFlowSet, cell_indices
 from .losses import LossValue, LossWeights, masked_chamfer, rigidity, temporal_consistency, total
-from .masks import DYNAMIC, MaskThresholds, StaticDynamicMask, build_mask
-from .pieces import PieceParams, build_pieces
+from .masks import DYNAMIC, STATIC, MaskThresholds, StaticDynamicMask, build_mask
+from .pieces import PieceParams, RigidPieces, build_pieces
 from .scene import SceneBundle
 
 LR_DECAY = 0.5  # learning-rate factor applied every LR_DECAY_EVERY iterations
@@ -37,17 +45,20 @@ class OptimConfig:
     use_mask: bool = True  # False = plain Chamfer on the full clouds
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.learning_rate <= 0:
-            raise ValueError("need positive iteration count and learning rate")
+        if self.max_iters < 1 or not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("need positive iteration count and finite positive learning rate")
+        if not 0.0 <= self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be finite and non-negative")
 
 
 @dataclass
 class OptimReport:
     iterations: int
-    trajectory: list  # one dict per iteration: total/mc/pr/tc
+    trajectory: list  # one dict per iteration: iter/total/mc/pr/tc/lr/grad_norm
     fields: dict  # t -> BevMotionField
     wall_time_s: float
     converged: bool
+    stop_reason: str  # "tol", "max_iters" or "diverged"
 
 
 def prepare_supervision(
@@ -69,46 +80,149 @@ def prepare_supervision(
     return bundle
 
 
-def _all_dynamic_masks(bundle: SceneBundle) -> dict:
-    return {
-        t: StaticDynamicMask(t, np.full(len(bundle.clouds[t]), DYNAMIC, dtype=np.uint8))
-        for t in bundle.mask_frames
-    }
+@dataclass(frozen=True)
+class CellSpace:
+    """The objective restated over the occupied cells of frame 0.
+
+    A unit is one pseudo-dynamic frame-0 point (the Chamfer term needs its
+    position), or one group of the other frame-0 points that share a cell
+    and, when the rigidity term is on, a piece label. Each unit carries its
+    group size as its loss multiplicity and reads its flow from one row of
+    a padded field: the n_occupied cell rows, then a pinned zero row for
+    out-of-grid points.
+    """
+
+    spec: BevGridSpec
+    cells: tuple  # (ix, iy) arrays of the n_occupied cells
+    counts: np.ndarray  # (n_occupied, 1) frame-0 points per cell
+    rows: np.ndarray  # (U,) padded-field row of each unit
+    multiplicity: np.ndarray  # (U,) points per unit
+    clouds: dict  # 0 -> unit positions; t -> pseudo-dynamic points of frame t
+    masks: dict  # statuses matching clouds
+    pieces: RigidPieces | None  # unit labels, None without the rigidity term
+    trees: dict  # t -> cKDTree of clouds[t], for non-empty targets
+
+    def dense(self, compact: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.spec.cells_x, self.spec.cells_y, 2))
+        out[self.cells] = compact
+        return out
 
 
-def field_loss_and_gradients(bundle: SceneBundle, fields: dict, cfg: OptimConfig):
+def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
+    """Check the bundle against cfg and build the cell-space problem."""
+    offsets = cfg.frame_set.offsets
+    for t in offsets:
+        if t not in bundle.clouds:
+            raise ValueError(f"missing point cloud for offset {t}")
+    if cfg.use_mask:
+        for t in (0, *offsets):
+            if t not in bundle.pseudo_masks:
+                raise ValueError(f"missing pseudo mask for frame {t}")
+            if len(bundle.pseudo_masks[t]) != len(bundle.clouds[t]):
+                raise ValueError(f"cloud and mask lengths differ at frame {t}")
+    use_pieces = cfg.weights.lambda_pr > 0
+    if use_pieces and bundle.pieces is None:
+        raise ValueError("missing rigid pieces")
+
+    def dynamic(t):
+        if cfg.use_mask:
+            return bundle.pseudo_masks[t].status == DYNAMIC
+        return np.ones(len(bundle.clouds[t]), dtype=bool)
+
+    spec = bundle.grid
+    points0 = bundle.clouds[0].points
+    n0 = len(points0)
+    idx, valid = cell_indices(points0, spec)
+    keys, inverse, counts = np.unique(
+        idx[valid, 0] * spec.cells_y + idx[valid, 1], return_inverse=True, return_counts=True
+    )
+    n_occ = keys.size
+    row = np.full(n0, n_occ, dtype=np.intp)
+    row[valid] = inverse
+
+    if use_pieces:
+        if len(bundle.pieces) != n0:
+            raise ValueError("pieces and frame 0 cloud lengths differ")
+        labels, n_r = bundle.pieces.labels, bundle.pieces.piece_count
+    else:
+        labels, n_r = np.full(n0, -1, dtype=np.int32), 0
+    dyn0 = dynamic(0)
+    dyn, rest = np.flatnonzero(dyn0), np.flatnonzero(~dyn0)
+    _, first, size = np.unique(
+        row[rest] * (n_r + 1) + (labels[rest] + 1), return_index=True, return_counts=True
+    )
+    members = np.concatenate([dyn, rest[first]])
+    status = np.full(members.size, STATIC, dtype=np.uint8)
+    status[: dyn.size] = DYNAMIC
+
+    clouds = {0: PointCloud(0, points0[members])}
+    masks = {0: StaticDynamicMask(0, status)}
+    trees = {}
+    for t in offsets:
+        target = bundle.clouds[t].points[dynamic(t)]
+        clouds[t] = PointCloud(t, target)
+        masks[t] = StaticDynamicMask(t, np.full(len(target), DYNAMIC, dtype=np.uint8))
+        if len(target):
+            trees[t] = cKDTree(target)
+    return CellSpace(
+        spec=spec,
+        cells=(keys // spec.cells_y, keys % spec.cells_y),
+        counts=counts.astype(np.float64)[:, None],
+        rows=row[members],
+        multiplicity=np.concatenate([np.ones(dyn.size), size.astype(np.float64)]),
+        clouds=clouds,
+        masks=masks,
+        pieces=RigidPieces(0, labels[members], n_r) if use_pieces else None,
+        trees=trees,
+    )
+
+
+def field_loss_and_gradients(
+    bundle: SceneBundle, fields: dict, cfg: OptimConfig, space: CellSpace | None = None
+):
     """Total loss plus analytic per-cell gradients (sum over cell points).
 
-    fields maps each offset to a (cells_x, cells_y, 2) array. Cells with
-    no frame-0 points get zero gradient; out-of-grid points carry zero
-    flow and contribute none.
+    fields maps each offset to a dense (cells_x, cells_y, 2) array, and the
+    gradients come back dense. Cells with no frame-0 points get zero
+    gradient; out-of-grid points carry zero flow and contribute none. With
+    a prebuilt space (cell_space(bundle, cfg)), fields and gradients are
+    that space's (n_occupied, 2) arrays instead.
     """
-    cloud0 = bundle.clouds[0]
-    idx, valid = cell_indices(cloud0.points, bundle.grid)
-    offsets = list(cfg.frame_set.offsets)
+    dense = space is None
+    if dense:
+        space = cell_space(bundle, cfg)
+        fields = {t: fields[t][space.cells] for t in cfg.frame_set.offsets}
+    n_occ = space.counts.shape[0]
+    flows = {}
+    for t in cfg.frame_set.offsets:
+        padded = np.zeros((n_occ + 1, 3))
+        padded[:n_occ, :2] = fields[t]
+        flows[t] = PointFlowSet(time_offset=t, flows=np.take(padded, space.rows, axis=0))
 
-    flows = {t: PointFlowSet(time_offset=t, flows=gather_flows(fields[t], idx, valid)) for t in offsets}
-
-    masks = dict(bundle.pseudo_masks) if cfg.use_mask else _all_dynamic_masks(bundle)
     w = cfg.weights
-    mc = masked_chamfer(bundle.clouds, masks, flows, with_grad=True)
+    m = space.multiplicity
+    mc = masked_chamfer(
+        space.clouds, space.masks, flows, with_grad=True, multiplicity=m, trees=space.trees
+    )
     if w.lambda_pr > 0:
-        pr = rigidity(bundle.pieces, flows, with_grad=True)
+        pr = rigidity(space.pieces, flows, with_grad=True, multiplicity=m)
     else:
         pr = LossValue(0.0, grad={})
     if w.lambda_tc > 0:
-        tc = temporal_consistency(flows, cfg.frame_set, with_grad=True)
+        tc = temporal_consistency(flows, cfg.frame_set, with_grad=True, multiplicity=m)
     else:
         tc = LossValue(0.0, grad={})
     tot = total(mc, pr, tc, w)
 
     cell_grads = {}
-    for t in offsets:
-        g = np.zeros_like(fields[t])
-        gp = tot.grad.get(t)
-        if gp is not None:
-            np.add.at(g, (idx[valid, 0], idx[valid, 1]), gp[valid, :2])
-        cell_grads[t] = g
+    for t in cfg.frame_set.offsets:
+        g = tot.grad[t]
+        cell_grads[t] = np.stack(
+            [np.bincount(space.rows, weights=g[:, c], minlength=n_occ + 1)[:n_occ] for c in (0, 1)],
+            axis=1,
+        )
+    if dense:
+        cell_grads = {t: space.dense(g) for t, g in cell_grads.items()}
     components = {"total": tot.value, "mc": mc.value, "pr": pr.value, "tc": tc.value}
     return components, cell_grads
 
@@ -116,62 +230,63 @@ def field_loss_and_gradients(bundle: SceneBundle, fields: dict, cfg: OptimConfig
 def optimize(bundle: SceneBundle, cfg: OptimConfig):
     """Fit one BevMotionField per predicted offset; returns (fields, report).
 
-    Fields start at zero (the static prior); each step scatter-averages
-    the per-point flow gradients into cells and descends with a decaying
-    learning rate.
+    Fields start at zero (the static prior); each step divides the summed
+    per-point flow gradients of a cell by its point count and descends
+    with a decaying learning rate. The report's stop_reason says whether
+    the relative loss change fell below cfg.convergence_tol ("tol") or the
+    iteration cap was reached ("max_iters"); a non-finite loss or gradient,
+    or a loss above 10x the initial one, raises DivergenceError, whose
+    report says "diverged".
     """
-    for t in cfg.frame_set.offsets:
-        if t not in bundle.clouds:
-            raise ValueError(f"missing point cloud for offset {t}")
-    if cfg.use_mask:
-        for t in sorted(set(cfg.frame_set.offsets) | {0}):
-            if t not in bundle.pseudo_masks:
-                raise ValueError(f"missing pseudo mask for frame {t}")
-    if cfg.weights.lambda_pr > 0 and bundle.pieces is None:
-        raise ValueError("missing rigid pieces")
-
     start = time.perf_counter()
-    spec = bundle.grid
-    cloud0 = bundle.clouds[0]
-    idx, valid = cell_indices(cloud0.points, spec)
-    counts = np.zeros((spec.cells_x, spec.cells_y))
-    np.add.at(counts, (idx[valid, 0], idx[valid, 1]), 1.0)
-    denom = np.maximum(counts, 1.0)[:, :, None]
-
-    fields = {t: np.zeros((spec.cells_x, spec.cells_y, 2)) for t in cfg.frame_set.offsets}
+    space = cell_space(bundle, cfg)
+    n_occ = space.counts.shape[0]
+    fields = {t: np.zeros((n_occ, 2)) for t in cfg.frame_set.offsets}
     lr = cfg.learning_rate
     trajectory = []
     initial = None
-    converged = False
+    stop_reason = "max_iters"
 
     for it in range(cfg.max_iters):
         if it > 0 and it % LR_DECAY_EVERY == 0:
             lr *= LR_DECAY
-        components, cell_grads = field_loss_and_gradients(bundle, fields, cfg)
-        trajectory.append({"iter": it, **components})
+        components, cell_grads = field_loss_and_gradients(bundle, fields, cfg, space)
+        grad_norm = math.sqrt(sum(float((g * g).sum()) for g in cell_grads.values()))
+        trajectory.append({"iter": it, **components, "lr": lr, "grad_norm": grad_norm})
         loss = components["total"]
         if initial is None:
             initial = loss
-        if initial > 0 and loss > 10.0 * initial:
-            report = OptimReport(it + 1, trajectory, _wrap(fields, spec), time.perf_counter() - start, False)
-            raise DivergenceError(f"loss diverged: {loss:.6g} > 10x initial {initial:.6g}", report)
+        if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+            reason = f"loss {loss:.6g} or gradient norm {grad_norm:.6g} is not finite"
+        elif initial > 0 and loss > 10.0 * initial:
+            reason = f"loss diverged: {loss:.6g} > 10x initial {initial:.6g}"
+        else:
+            reason = None
+        if reason is not None:
+            wall = time.perf_counter() - start
+            report = OptimReport(it + 1, trajectory, _wrap(fields, space), wall, False, "diverged")
+            raise DivergenceError(reason, report)
         if it >= 10:
             past = trajectory[-11]["total"]
             if abs(past - loss) <= cfg.convergence_tol * max(abs(past), 1e-12):
-                converged = True
+                stop_reason = "tol"
                 break
         for t in fields:
-            fields[t] -= lr * cell_grads[t] / denom
+            fields[t] -= lr * cell_grads[t] / space.counts
 
     report = OptimReport(
         iterations=len(trajectory),
         trajectory=trajectory,
-        fields=_wrap(fields, spec),
+        fields=_wrap(fields, space),
         wall_time_s=time.perf_counter() - start,
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
     )
     return report.fields, report
 
 
-def _wrap(fields: dict, spec) -> dict:
-    return {t: BevMotionField(spec=spec, time_offset=t, values=v.copy()) for t, v in fields.items()}
+def _wrap(fields: dict, space: CellSpace) -> dict:
+    return {
+        t: BevMotionField(spec=space.spec, time_offset=t, values=space.dense(v))
+        for t, v in fields.items()
+    }

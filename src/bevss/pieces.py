@@ -211,17 +211,19 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
         comp, ncomp = ndimage.label(sub == lab, structure=structure)
         if ncomp <= 1:
             continue
-        sizes = ndimage.sum_labels(np.ones_like(comp), comp, range(1, ncomp + 1))
-        keep = int(np.argmax(sizes)) + 1
-        for frag in range(1, ncomp + 1):
+        keep = int(np.argmax(np.bincount(comp.ravel())[1:])) + 1
+        for frag, box in enumerate(ndimage.find_objects(comp), start=1):
             if frag == keep:
                 continue
-            mask = comp == frag
+            # The fragment's own box grown by one pixel holds its dilation ring.
+            grown = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
+            local = sub[grown]
+            mask = comp[grown] == frag
             ring = ndimage.binary_dilation(mask, structure=structure) & ~mask
-            ring &= sub != lab
+            ring &= local != lab
             if np.any(ring):
-                vals, counts = np.unique(sub[ring], return_counts=True)
-                sub[mask] = vals[np.argmax(counts)]
+                vals, counts = np.unique(local[ring], return_counts=True)
+                local[mask] = vals[np.argmax(counts)]
             # A fragment surrounded by its own label keeps it.
     return _compact_labels(out)
 

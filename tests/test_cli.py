@@ -45,10 +45,21 @@ def test_optimize_writes_fields_and_report(workspace):
         assert os.path.exists(os.path.join(workspace["pred"], name))
     report = open(os.path.join(workspace["pred"], "report.txt")).read()
     assert "iterations=" in report
+    assert "stop_reason=" in report
     assert "loss_total=" in report
     field = fileio.load_field(os.path.join(workspace["pred"], "field_1.bev"), BevGridSpec())
     assert field.time_offset == 1
     assert float(np.abs(field.values).max()) > 0.0
+
+
+def test_optimize_prints_stop_reason(workspace, tmp_path, capsys):
+    out_dir = str(tmp_path / "pred3")
+    argv = ["optimize", "--scene", workspace["scene"], "--out", out_dir, "--iters", "3"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    report = open(os.path.join(out_dir, "report.txt")).read().splitlines()
+    assert "stop_reason=max_iters" in printed
+    assert "stop_reason=max_iters" in report
 
 
 def test_loss_prints_all_components(workspace, capsys):

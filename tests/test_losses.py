@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from bevss.grid import FrameSet, PointCloud, PointFlowSet
 from bevss.losses import (
@@ -11,6 +12,7 @@ from bevss.losses import (
     masked_chamfer,
     rigidity,
     smoothness,
+    smoothness_neighbors,
     temporal_consistency,
     total,
 )
@@ -188,6 +190,137 @@ def test_smoothness_validation():
         smoothness(cloud, PointFlowSet(1, np.zeros((3, 3))), k=3)
     with pytest.raises(ValueError):
         smoothness(cloud, PointFlowSet(1, np.zeros((4, 3))), k=2)
+
+
+def test_smoothness_with_fixed_neighbors_is_unchanged(rng):
+    cloud = PointCloud(0, rng.normal(size=(40, 3)))
+    flows = PointFlowSet(1, rng.normal(size=(40, 3)))
+    nbr = smoothness_neighbors(cloud.points, 5)
+    assert nbr.shape == (40, 5) and not (nbr == np.arange(40)[:, None]).any()
+    ref = smoothness(cloud, flows, k=5, with_grad=True)
+    res = smoothness(cloud, flows, k=5, with_grad=True, neighbors=nbr)
+    assert res.value == ref.value
+    np.testing.assert_array_equal(res.grad[1], ref.grad[1])
+    with pytest.raises(ValueError):
+        smoothness(cloud, flows, k=4, neighbors=nbr)
+
+
+def test_prebuilt_target_trees_change_nothing(rng):
+    a, b = rng.normal(size=(25, 3)), rng.normal(size=(35, 3))
+    for ref, res in zip(chamfer_pairs(a, b), chamfer_pairs(a, b, cKDTree(b))):
+        np.testing.assert_array_equal(res, ref)
+    clouds, masks, flows = _weighted_scene(rng)
+    trees = {t: cKDTree(clouds[t].points[masks[t].status == DYNAMIC]) for t in OFFSETS}
+    ref = masked_chamfer(clouds, masks, flow_sets(flows), with_grad=True)
+    res = masked_chamfer(clouds, masks, flow_sets(flows), with_grad=True, trees=trees)
+    assert res.value == ref.value
+    for t in OFFSETS:
+        np.testing.assert_array_equal(res.grad[t], ref.grad[t])
+
+
+# --- multiplicities: a point with multiplicity k counts as k copies --------
+
+
+def _weighted_scene(rng, n=40):
+    status = rng.choice([STATIC, DYNAMIC, UNKNOWN], size=n, p=[0.6, 0.3, 0.1]).astype(np.uint8)
+    clouds = {0: PointCloud(0, rng.normal(size=(n, 3)))}
+    masks = {0: StaticDynamicMask(0, status)}
+    for t in OFFSETS:
+        clouds[t] = PointCloud(t, rng.normal(size=(n + 5, 3)))
+        masks[t] = StaticDynamicMask(t, (rng.random(n + 5) < 0.4).astype(np.uint8))
+    flows = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
+    return clouds, masks, flows
+
+
+def _copies(k):
+    """Entry index of every copy when entry i is repeated k[i] times."""
+    return np.repeat(np.arange(len(k)), k)
+
+
+def _assert_weighted_equals_expanded(weighted, expanded, k):
+    rep = _copies(k)
+    assert weighted.value == pytest.approx(expanded.value, rel=1e-12, abs=1e-15)
+    for t, g in weighted.grad.items():
+        summed = np.zeros_like(g)
+        np.add.at(summed, rep, expanded.grad[t])
+        np.testing.assert_allclose(g, summed, rtol=1e-12, atol=1e-15)
+
+
+def test_masked_chamfer_multiplicity_equals_copies(rng):
+    clouds, masks, flows = _weighted_scene(rng)
+    status = masks[0].status
+    k = np.where(status == DYNAMIC, 1, rng.integers(1, 5, size=len(status)))
+    rep = _copies(k)
+    weighted = masked_chamfer(clouds, masks, flow_sets(flows), with_grad=True, multiplicity=k)
+    clouds_x = {**clouds, 0: PointCloud(0, clouds[0].points[rep])}
+    masks_x = {**masks, 0: StaticDynamicMask(0, status[rep])}
+    flows_x = {t: f[rep] for t, f in flows.items()}
+    expanded = masked_chamfer(clouds_x, masks_x, flow_sets(flows_x), with_grad=True)
+    _assert_weighted_equals_expanded(weighted, expanded, k)
+
+
+def test_rigidity_multiplicity_equals_copies(rng):
+    n = 40
+    labels = rng.integers(-1, 4, size=n).astype(np.int32)
+    k = rng.integers(1, 5, size=n)
+    flows = {t: rng.normal(size=(n, 3)) for t in OFFSETS}
+    rep = _copies(k)
+    weighted = rigidity(RigidPieces(0, labels, 4), flow_sets(flows), True, multiplicity=k)
+    expanded = rigidity(
+        RigidPieces(0, labels[rep], 4), flow_sets({t: f[rep] for t, f in flows.items()}), True
+    )
+    _assert_weighted_equals_expanded(weighted, expanded, k)
+
+
+def test_temporal_consistency_multiplicity_equals_copies(rng):
+    n = 40
+    k = rng.integers(1, 5, size=n)
+    flows = {t: rng.normal(size=(n, 3)) for t in OFFSETS}
+    rep = _copies(k)
+    fs = FrameSet(offsets=OFFSETS)
+    weighted = temporal_consistency(flow_sets(flows), fs, True, multiplicity=k)
+    expanded = temporal_consistency(flow_sets({t: f[rep] for t, f in flows.items()}), fs, True)
+    _assert_weighted_equals_expanded(weighted, expanded, k)
+
+
+def test_unit_multiplicities_are_bit_identical(rng):
+    clouds, masks, flows = _weighted_scene(rng)
+    n = len(clouds[0])
+    ones = np.ones(n)
+    pieces = RigidPieces(0, rng.integers(-1, 4, size=n).astype(np.int32), 4)
+    fs = FrameSet(offsets=OFFSETS)
+    losses = [
+        lambda **kw: masked_chamfer(clouds, masks, flow_sets(flows), True, **kw),
+        lambda **kw: rigidity(pieces, flow_sets(flows), True, **kw),
+        lambda **kw: temporal_consistency(flow_sets(flows), fs, True, **kw),
+    ]
+    for loss in losses:
+        ref, res = loss(), loss(multiplicity=ones)
+        assert res.value == ref.value
+        for t in OFFSETS:
+            np.testing.assert_array_equal(res.grad[t], ref.grad[t])
+
+
+@pytest.mark.parametrize("bad", ["short", "zero", "negative", "nan", "dynamic-two"])
+def test_multiplicity_validation(rng, bad):
+    clouds, masks, flows = _weighted_scene(rng)
+    n = len(clouds[0])
+    k = np.ones(n)
+    if bad == "short":
+        k = k[:-1]
+    elif bad == "dynamic-two":
+        k[np.flatnonzero(masks[0].status == DYNAMIC)[0]] = 2.0
+    else:
+        value = {"zero": 0.0, "negative": -1.0, "nan": np.nan}[bad]
+        k[np.flatnonzero(masks[0].status == STATIC)[0]] = value
+    with pytest.raises(ValueError, match="multiplicit"):
+        masked_chamfer(clouds, masks, flow_sets(flows), multiplicity=k)
+    if bad != "dynamic-two":
+        pieces = RigidPieces(0, np.zeros(n, dtype=np.int32), 1)
+        with pytest.raises(ValueError, match="multiplicit"):
+            rigidity(pieces, flow_sets(flows), multiplicity=k)
+        with pytest.raises(ValueError, match="multiplicit"):
+            temporal_consistency(flow_sets(flows), FrameSet(), multiplicity=k)
 
 
 def test_total_combines_weighted_values_and_gradients():

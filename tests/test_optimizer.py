@@ -1,10 +1,22 @@
 """Direct field optimization: supervision prep, descent, and failure modes."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
-from bevss.grid import FrameSet
-from bevss.losses import LossWeights
+from bevss import optimizer
+from bevss.grid import BevGridSpec, FrameSet, PointFlowSet, cell_indices, gather_flows
+from bevss.losses import (
+    LossValue,
+    LossWeights,
+    masked_chamfer,
+    rigidity,
+    temporal_consistency,
+    total,
+)
+from bevss.masks import DYNAMIC, StaticDynamicMask
 from bevss.optimizer import (
     DivergenceError,
     OptimConfig,
@@ -13,12 +25,65 @@ from bevss.optimizer import (
     prepare_supervision,
 )
 
+PLAIN = dict(use_mask=False, weights=LossWeights(lambda_pr=0.0, lambda_tc=0.0))
+
+
+def _point_field_loss_and_gradients(bundle, fields, cfg):
+    """Reference objective: every loss per frame-0 point on dense fields,
+    gradients scattered into cells point by point."""
+    cloud0 = bundle.clouds[0]
+    idx, valid = cell_indices(cloud0.points, bundle.grid)
+    offsets = list(cfg.frame_set.offsets)
+    flows = {t: PointFlowSet(t, gather_flows(fields[t], idx, valid)) for t in offsets}
+    if cfg.use_mask:
+        masks = dict(bundle.pseudo_masks)
+    else:
+        masks = {
+            t: StaticDynamicMask(t, np.full(len(bundle.clouds[t]), DYNAMIC, dtype=np.uint8))
+            for t in (0, *offsets)
+        }
+    w = cfg.weights
+    mc = masked_chamfer(bundle.clouds, masks, flows, with_grad=True)
+    pr = rigidity(bundle.pieces, flows, with_grad=True) if w.lambda_pr > 0 else LossValue(0.0, {})
+    if w.lambda_tc > 0:
+        tc = temporal_consistency(flows, cfg.frame_set, with_grad=True)
+    else:
+        tc = LossValue(0.0, {})
+    tot = total(mc, pr, tc, w)
+    cell_grads = {}
+    for t in offsets:
+        g = np.zeros_like(fields[t])
+        np.add.at(g, (idx[valid, 0], idx[valid, 1]), tot.grad[t][valid, :2])
+        cell_grads[t] = g
+    components = {"total": tot.value, "mc": mc.value, "pr": pr.value, "tc": tc.value}
+    return components, cell_grads
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimConfig(max_iters=0)
     with pytest.raises(ValueError):
         OptimConfig(learning_rate=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(learning_rate=math.nan),
+        dict(learning_rate=math.inf),
+        dict(convergence_tol=-1e-5),
+        dict(convergence_tol=math.nan),
+        dict(convergence_tol=math.inf),
+    ],
+    ids=["lr-nan", "lr-inf", "tol-negative", "tol-nan", "tol-inf"],
+)
+def test_config_rejects_non_finite_values(kwargs):
+    with pytest.raises(ValueError):
+        OptimConfig(**kwargs)
+
+
+def test_config_accepts_zero_tolerance():
+    assert OptimConfig(convergence_tol=0.0).convergence_tol == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +122,55 @@ def test_gradients_at_zero_point_downhill(supervised):
     assert after["total"] < components["total"]
 
 
+def _random_fields(bundle, offsets, seed):
+    rng = np.random.default_rng(seed)
+    shape = (bundle.grid.cells_x, bundle.grid.cells_y, 2)
+    return {t: rng.normal(scale=0.3, size=shape) for t in offsets}
+
+
+def _assert_matches_point_oracle(bundle, cfg, seed=0):
+    for fields in (
+        {t: np.zeros((bundle.grid.cells_x, bundle.grid.cells_y, 2)) for t in cfg.frame_set.offsets},
+        _random_fields(bundle, cfg.frame_set.offsets, seed),
+    ):
+        components, grads = field_loss_and_gradients(bundle, fields, cfg)
+        ref_components, ref_grads = _point_field_loss_and_gradients(bundle, fields, cfg)
+        assert components.keys() == ref_components.keys()
+        for key, ref in ref_components.items():
+            assert components[key] == pytest.approx(ref, rel=1e-12, abs=0.0), key
+        assert grads.keys() == ref_grads.keys()
+        for t, ref in ref_grads.items():
+            scale = float(np.abs(ref).max())
+            np.testing.assert_allclose(grads[t], ref, rtol=1e-12, atol=1e-15 * scale)
+
+
+def test_cell_space_matches_point_oracle_one_box_full(supervised):
+    _assert_matches_point_oracle(supervised, OptimConfig())
+
+
+def test_cell_space_matches_point_oracle_two_box_plain(two_box):
+    _assert_matches_point_oracle(two_box, OptimConfig(**PLAIN))
+
+
+def test_cell_space_matches_point_oracle_frame_subset(supervised):
+    _assert_matches_point_oracle(supervised, OptimConfig(frame_set=FrameSet(offsets=(1, 2))))
+
+
+def test_cell_space_matches_point_oracle_out_of_grid_points(supervised):
+    # A smaller grid leaves frame-0 points of every kind outside it: they
+    # keep zero flow but still count in each loss's normalization.
+    bundle = copy.copy(supervised)
+    bundle.grid = BevGridSpec(x_min=-12.0, x_max=12.0, y_min=-10.0, y_max=10.0, z_min=-1.0)
+    _, valid = cell_indices(bundle.clouds[0].points, bundle.grid)
+    out = ~valid
+    assert out.sum() > 100 and valid.sum() > 100
+    assert (bundle.pseudo_masks[0].status[out] == DYNAMIC).any()
+    assert (bundle.pseudo_masks[0].status[out] != DYNAMIC).any()
+    assert (bundle.pieces.labels[out] >= 0).any()
+    _assert_matches_point_oracle(bundle, OptimConfig(), seed=1)
+    _assert_matches_point_oracle(bundle, OptimConfig(**PLAIN), seed=2)
+
+
 def test_optimize_reduces_loss_and_reports(supervised):
     fields, report = optimize(supervised, OptimConfig(max_iters=40))
     assert report.iterations <= 40
@@ -66,6 +180,58 @@ def test_optimize_reduces_loss_and_reports(supervised):
         assert fld.time_offset == t
         assert fld.values.shape == (supervised.grid.cells_x, supervised.grid.cells_y, 2)
     assert report.wall_time_s > 0.0
+
+
+@pytest.mark.parametrize("config", ["full", "plain"])
+def test_optimize_matches_point_oracle_descent(supervised, config):
+    # A few steps of the per-point descent on dense fields: each cell moves
+    # by its summed gradient over its frame-0 point count.
+    cfg = OptimConfig(max_iters=4, **(PLAIN if config == "plain" else {}))
+    spec = supervised.grid
+    idx, valid = cell_indices(supervised.clouds[0].points, spec)
+    counts = np.zeros((spec.cells_x, spec.cells_y))
+    np.add.at(counts, (idx[valid, 0], idx[valid, 1]), 1.0)
+    denom = np.maximum(counts, 1.0)[:, :, None]
+    ref = {t: np.zeros((spec.cells_x, spec.cells_y, 2)) for t in cfg.frame_set.offsets}
+    totals = []
+    for _ in range(cfg.max_iters):
+        components, grads = _point_field_loss_and_gradients(supervised, ref, cfg)
+        totals.append(components["total"])
+        for t in ref:
+            ref[t] -= cfg.learning_rate * grads[t] / denom
+    fields, report = optimize(supervised, cfg)
+    assert [e["total"] for e in report.trajectory] == pytest.approx(totals, rel=1e-12)
+    for t in ref:
+        np.testing.assert_allclose(fields[t].values, ref[t], rtol=0.0, atol=1e-12)
+
+
+def test_trajectory_records_step_size_and_gradient_norm(supervised):
+    cfg = OptimConfig(max_iters=102, convergence_tol=0.0)
+    _, report = optimize(supervised, cfg)
+    lrs = [entry["lr"] for entry in report.trajectory]
+    assert lrs[:100] == [0.05] * 100 and lrs[100:] == [0.025] * 2
+    zeros = {
+        t: np.zeros((supervised.grid.cells_x, supervised.grid.cells_y, 2))
+        for t in cfg.frame_set.offsets
+    }
+    _, grads = _point_field_loss_and_gradients(supervised, zeros, cfg)
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    assert report.trajectory[0]["grad_norm"] == pytest.approx(norm, rel=1e-12)
+    assert all(entry["grad_norm"] > 0.0 for entry in report.trajectory)
+
+
+def test_stop_reason_max_iters(supervised):
+    _, report = optimize(supervised, OptimConfig(max_iters=5))
+    assert report.stop_reason == "max_iters"
+    assert report.iterations == 5 and not report.converged
+
+
+def test_stop_reason_tol(supervised):
+    _, report = optimize(supervised, OptimConfig(max_iters=50, convergence_tol=0.5))
+    assert report.stop_reason == "tol"
+    assert 11 <= report.iterations < 50 and report.converged
+    past, last = report.trajectory[-11]["total"], report.trajectory[-1]["total"]
+    assert abs(past - last) <= 0.5 * abs(past)
 
 
 def test_optimize_respects_frame_subset(supervised):
@@ -78,6 +244,27 @@ def test_optimize_diverges_with_huge_learning_rate(supervised):
     with pytest.raises(DivergenceError) as info:
         optimize(supervised, OptimConfig(max_iters=200, learning_rate=500.0))
     assert info.value.report.iterations >= 1
+    assert info.value.report.stop_reason == "diverged"
+    assert not info.value.report.converged
+
+
+def test_optimize_non_finite_loss_raises_divergence(supervised, monkeypatch):
+    # NaN compares false with any bound, so only an explicit finiteness
+    # check can stop the descent.
+    calls = []
+
+    def nan_on_third(flows, frame_set, with_grad=False, multiplicity=None):
+        calls.append(None)
+        res = temporal_consistency(flows, frame_set, with_grad, multiplicity)
+        return LossValue(math.nan if len(calls) == 3 else res.value, res.grad)
+
+    monkeypatch.setattr(optimizer, "temporal_consistency", nan_on_third)
+    with pytest.raises(DivergenceError, match="not finite") as info:
+        optimize(supervised, OptimConfig(max_iters=20))
+    report = info.value.report
+    assert report.stop_reason == "diverged" and report.iterations == 3
+    assert math.isnan(report.trajectory[-1]["total"])
+    assert all(np.isfinite(f.values).all() for f in report.fields.values())
 
 
 def test_optimize_requires_supervision(one_box):

@@ -12,6 +12,7 @@ from bevss.pieces import (
     _compact_labels,
     _enforce_connectivity,
     _grid_shape,
+    _slic_labels,
     fuse_by_height,
     label_points,
     occlusion_filter,
@@ -193,6 +194,19 @@ def test_enforce_connectivity_matches_loop_oracle(seed):
     # Few labels on a small image: most start split, and merges can join
     # the pieces of a label that is visited later.
     labels = np.random.default_rng(seed).integers(0, 5, size=(24, 24)).astype(np.int32)
+    np.testing.assert_array_equal(
+        _enforce_connectivity(labels), _loop_enforce_connectivity(labels)
+    )
+
+
+def test_enforce_connectivity_matches_loop_oracle_on_noisy_flow():
+    # SLIC on strong flow noise: every label splits into dozens of
+    # fragments, some at the image border, and fragments merge into labels
+    # that are visited later.
+    labels = _slic_labels(_normal((60, 80, 2), 7, scale=5.0), PieceParams(superpixel_count=24))
+    structure = np.ones((3, 3), dtype=bool)
+    fragments = [ndimage.label(labels == lab, structure=structure)[1] for lab in np.unique(labels)]
+    assert min(fragments) > 10 and sum(fragments) > 1000
     np.testing.assert_array_equal(
         _enforce_connectivity(labels), _loop_enforce_connectivity(labels)
     )
