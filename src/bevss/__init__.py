@@ -7,7 +7,6 @@ from .grid import (
     PointCloud,
     PointFlowSet,
     field_to_point_flows,
-    warp,
 )
 from .losses import LossValue, LossWeights
 from .masks import MaskThresholds, StaticDynamicMask
@@ -29,7 +28,6 @@ __all__ = [
     "RigidPieces",
     "StaticDynamicMask",
     "field_to_point_flows",
-    "warp",
 ]
 
 __version__ = "0.1.0"

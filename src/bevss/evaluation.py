@@ -44,17 +44,18 @@ def evaluate(
     gt: BevMotionField,
     cloud: PointCloud,
     horizon_s: float = 1.0,
-    static_epsilon: float = 0.0,
 ) -> EvalReport:
     """Mean/median L2 error per speed bucket over non-empty cells.
 
     Both fields must already be normalized to the same horizon (1 s by
     convention); speed is the ground-truth displacement magnitude over
-    that horizon. Synthetic ground truth uses exact-zero displacement for
-    the static bucket; static_epsilon (m/s) loosens that for imported GT.
+    that horizon. The static bucket holds the cells of exactly zero
+    ground-truth displacement.
     """
     if pred.spec != gt.spec:
         raise ValueError("prediction and ground truth grids differ")
+    if not horizon_s > 0:
+        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
     spec = pred.spec
     idx, valid = cell_indices(cloud.points, spec)
     occupied = np.zeros((spec.cells_x, spec.cells_y), dtype=bool)
@@ -62,7 +63,7 @@ def evaluate(
 
     err = np.linalg.norm(pred.values - gt.values, axis=2)[occupied]
     speed = np.linalg.norm(gt.values, axis=2)[occupied] / horizon_s
-    is_static = speed <= static_epsilon
+    is_static = speed == 0.0
     is_slow = ~is_static & (speed <= SLOW_SPEED_LIMIT)
     is_fast = ~is_static & ~is_slow
 

@@ -8,9 +8,9 @@ import numpy as np
 
 from .grid import FrameSet, PointCloud, PointFlowSet
 from .losses import (
+    MaskedChamfer,
     chamfer,
     chamfer_pairs,
-    masked_chamfer,
     rigidity,
     smoothness,
     smoothness_neighbors,
@@ -71,20 +71,15 @@ def check_masked_chamfer(rng: np.random.Generator, n: int = 50, step: float = 1e
     }
     flows = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
 
-    cache: dict = {}
-
     def wrap():
         return {t: PointFlowSet(t, f.copy()) for t, f in flows.items()}
 
-    res = masked_chamfer(clouds, masks, wrap(), with_grad=True, nn_cache=cache)
+    term = MaskedChamfer(clouds, masks, OFFSETS)
+    pairs = term.pairs(wrap())
+    res = term(wrap(), with_grad=True, pairs=pairs)
     err = 0.0
     for t in OFFSETS:
-        fd = _fd_err(
-            lambda: masked_chamfer(clouds, masks, wrap(), nn_cache=cache).value,
-            flows[t],
-            res.grad[t],
-            step,
-        )
+        fd = _fd_err(lambda: term(wrap(), pairs=pairs).value, flows[t], res.grad[t], step)
         err = max(err, fd)
     return err
 

@@ -161,9 +161,3 @@ def field_to_point_flows(field: BevMotionField, cloud: PointCloud) -> PointFlowS
     idx, valid = cell_indices(cloud.points, field.spec)
     return PointFlowSet(time_offset=field.time_offset, flows=gather_flows(field.values, idx, valid))
 
-
-def warp(cloud: PointCloud, flows: PointFlowSet) -> PointCloud:
-    """Move every point by its flow; the result lives at flows.time_offset."""
-    if len(cloud) != len(flows):
-        raise ValueError(f"length mismatch: {len(cloud)} points vs {len(flows)} flows")
-    return PointCloud(frame_index=flows.time_offset, points=cloud.points + flows.flows)

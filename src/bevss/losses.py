@@ -5,11 +5,19 @@ respect to the per-point flows. Nearest-neighbor correspondences are
 recomputed per evaluation and held fixed within one gradient computation
 (the standard subgradient for piecewise-smooth NN objectives).
 
-The static term of masked_chamfer, rigidity and temporal_consistency
-accept optional per-point multiplicities: a point with multiplicity k
-counts as k copies of itself, and its gradient is the sum over the
-copies. The optimizer uses them to evaluate the objective once per group
-of frame-0 points that share a BEV cell, since such points share a flow.
+The three supervision signals are split into a setup step and an
+evaluate step. MaskedChamfer, Rigidity and TemporalConsistency check
+their fixed inputs and precompute index sets, weights and target trees
+once; calling a term evaluates the one formula of its loss on a flow set.
+masked_chamfer, rigidity and temporal_consistency set a term up and
+evaluate it once.
+
+A term may weight its points by multiplicities: a point with
+multiplicity k counts as k copies of itself, and its gradient is the sum
+over the copies. A scalar applies to every point; the default 1.0 counts
+each point once. The optimizer uses them to evaluate the objective once
+per group of frame-0 points that share a BEV cell, since such points
+share a flow.
 """
 
 from dataclasses import dataclass
@@ -42,12 +50,13 @@ class LossWeights:
 
 
 def _multiplicity(multiplicity, n: int) -> np.ndarray:
+    """(n, 1) checked multiplicities from an (n,) array or a scalar."""
     m = np.asarray(multiplicity, dtype=np.float64)
-    if m.shape != (n,):
+    if m.shape not in ((), (n,)):
         raise ValueError(f"multiplicity shape {m.shape} != ({n},)")
-    if not np.all(np.isfinite(m) & (m > 0)):
+    if not (np.isfinite(m) & (m > 0)).all():
         raise ValueError("multiplicities must be positive and finite")
-    return m
+    return np.full(n, m)[:, None]
 
 
 def chamfer_pairs(a: np.ndarray, b: np.ndarray, tree_b: cKDTree | None = None):
@@ -84,193 +93,202 @@ def chamfer(a: PointCloud, b: PointCloud, with_grad: bool = False, pairs=None) -
     return LossValue(value, grad={"a": ga, "b": gb})
 
 
+class MaskedChamfer:
+    """Chamfer on the pseudo-dynamic parts plus a static zero-motion penalty.
+
+    clouds/masks must cover frame 0 and every offset. For each offset the
+    dynamic subset of frame 0 is warped and compared against the dynamic
+    subset of that frame; pseudo-static frame-0 points pay the mean L1
+    norm of their flow. An empty dynamic set on either side skips the
+    Chamfer term for that offset. multiplicity weights the frame-0 points
+    of the static term; every pseudo-dynamic point must have
+    multiplicity 1.
+    """
+
+    def __init__(self, clouds: dict, masks: dict, offsets, multiplicity=1.0):
+        if 0 not in clouds or 0 not in masks:
+            raise ValueError("frame 0 cloud and mask are required")
+        cloud0, mask0 = clouds[0], masks[0]
+        if len(cloud0) != len(mask0):
+            raise ValueError("frame 0 cloud and mask lengths differ")
+        self.offsets = tuple(sorted(offsets))
+        for t in self.offsets:
+            if t not in clouds or t not in masks:
+                raise ValueError(f"missing frame data for offset {t}")
+            if len(clouds[t]) != len(masks[t]):
+                raise ValueError(f"cloud and mask lengths differ at offset {t}")
+        dyn0 = mask0.status == DYNAMIC
+        self.n0 = len(cloud0)
+        self.dyn_idx = np.flatnonzero(dyn0)
+        self.stat_idx = np.flatnonzero(~dyn0)
+        m = _multiplicity(multiplicity, self.n0)
+        if np.any(m[self.dyn_idx] != 1.0):
+            raise ValueError("pseudo-dynamic points must have multiplicity 1")
+        self.m_stat = np.take(m, self.stat_idx, axis=0)
+        self.n_stat = float(self.m_stat.sum())
+        self.dyn_points = cloud0.points[self.dyn_idx]
+        # One target cloud and tree per offset whose Chamfer term is on.
+        self.targets, self.trees = {}, {}
+        for t in self.offsets:
+            target = clouds[t].points[masks[t].status == DYNAMIC]
+            if self.dyn_idx.size and len(target):
+                self.targets[t] = PointCloud(t, target)
+                self.trees[t] = cKDTree(target)
+
+    def _warped(self, flows: dict, t: int) -> np.ndarray:
+        return self.dyn_points + flows[t].flows[self.dyn_idx]
+
+    def pairs(self, flows: dict) -> dict:
+        """Chamfer correspondences at flows, to hold fixed in later calls."""
+        return {
+            t: chamfer_pairs(self._warped(flows, t), target.points, self.trees[t])
+            for t, target in self.targets.items()
+        }
+
+    def __call__(self, flows: dict, with_grad: bool = False, pairs: dict | None = None):
+        if flows.keys() != set(self.offsets):
+            raise ValueError(f"flow offsets {sorted(flows)} != {list(self.offsets)}")
+        n_off = len(self.offsets)
+        value = 0.0
+        grads: dict[int, np.ndarray] = {}
+        for t in self.offsets:
+            f = flows[t].flows
+            if len(f) != self.n0:
+                raise ValueError("flow length differs from frame 0 cloud")
+            fs = np.take(f, self.stat_idx, axis=0)
+            if with_grad:
+                g = np.zeros((self.n0, 3))
+                g[self.stat_idx] = self.m_stat * np.sign(fs) / self.n_stat
+
+            if t in self.targets:
+                warped = self._warped(flows, t)
+                target = self.targets[t]
+                if pairs is None:
+                    nn = chamfer_pairs(warped, target.points, self.trees[t])
+                else:
+                    nn = pairs[t]
+                cd = chamfer(PointCloud(t, warped), target, with_grad=with_grad, pairs=nn)
+                value += cd.value
+                if with_grad:
+                    g[self.dyn_idx] += cd.grad["a"]
+
+            if self.stat_idx.size:
+                value += float((self.m_stat * np.abs(fs)).sum()) / self.n_stat
+            if with_grad:
+                g /= n_off
+                grads[t] = g
+
+        value /= n_off
+        if not with_grad:
+            return LossValue(value)
+        return LossValue(value, grad=grads)
+
+
+class Rigidity:
+    """Mean absolute deviation of flows about their piece mean, per frame.
+
+    Pieces with no constraint (piece_count 0) yield 0. multiplicity
+    weights each point of pieces.labels.
+    """
+
+    def __init__(self, pieces: RigidPieces, multiplicity=1.0):
+        labels = pieces.labels
+        self.n_r = pieces.piece_count
+        self.valid = np.flatnonzero(labels >= 0)
+        self.lab = labels[self.valid]
+        self.m = np.take(_multiplicity(multiplicity, len(labels)), self.valid, axis=0)
+        self.counts = np.bincount(self.lab, weights=self.m[:, 0], minlength=self.n_r)
+        self.lab_counts = self.counts[self.lab, None]
+        # Per-point weight m/(N_r |R_j|), with |R_j| counted in copies.
+        self.w = (1.0 / (self.n_r * self.counts[self.lab]) * self.m[:, 0])[:, None]
+        # Piece-and-coordinate bin of each entry of a row-major (V, 3) array.
+        self.bins = (3 * self.lab[:, None] + np.arange(3)).ravel()
+
+    def _piece_sums(self, x: np.ndarray) -> np.ndarray:
+        """(n_r, 3) sums of the rows of x over each piece."""
+        sums = np.bincount(self.bins, weights=x.ravel(), minlength=3 * self.n_r)
+        return sums.reshape(self.n_r, 3)
+
+    def __call__(self, flows: dict, with_grad: bool = False) -> LossValue:
+        value = 0.0
+        grads: dict[int, np.ndarray] = {}
+        for t, fl in sorted(flows.items()):
+            f = np.take(fl.flows, self.valid, axis=0)
+            means = self._piece_sums(self.m * f) / self.counts[:, None]
+            dev = f - np.take(means, self.lab, axis=0)
+            value += float((self.w * np.abs(dev)).sum())
+            if with_grad:
+                s = np.sign(dev)
+                piece_s = np.take(self._piece_sums(self.m * s), self.lab, axis=0)
+                g = np.zeros((len(fl), 3))
+                g[self.valid] = self.w * (s - piece_s / self.lab_counts)
+                g /= len(flows)
+                grads[t] = g
+
+        value /= len(flows)
+        if not with_grad:
+            return LossValue(value)
+        return LossValue(value, grad=grads)
+
+
+class TemporalConsistency:
+    """Mean absolute deviation of per-frame velocities from their mean.
+
+    Evaluates the offsets of frame_set for n points. Displacements are
+    divided by their signed offset, so a backward frame contributes a
+    forward velocity and constant-velocity motion is the exact zero of the
+    loss. multiplicity weights each point.
+    """
+
+    def __init__(self, frame_set: FrameSet, n: int, multiplicity=1.0):
+        self.offsets = tuple(sorted(frame_set.offsets))
+        if len(self.offsets) < 2:
+            raise ValueError("temporal consistency needs at least two offsets")
+        self.m = _multiplicity(multiplicity, n)
+        self.n = float(self.m.sum())
+
+    def __call__(self, flows: dict, with_grad: bool = False) -> LossValue:
+        if flows.keys() != set(self.offsets):
+            raise ValueError(f"flow offsets {sorted(flows)} != frame set {list(self.offsets)}")
+        n_t = len(self.offsets)
+        vel = np.stack([flows[t].flows / t for t in self.offsets])  # (T, N, 3)
+        vbar = vel.mean(axis=0)
+        x = vbar[None] - vel
+        value = float((self.m * np.abs(x)).sum()) / (self.n * n_t)
+        if not with_grad:
+            return LossValue(value)
+        s = np.sign(x)
+        s_sum = s.sum(axis=0)  # (N, 3)
+        grads = {}
+        for k, t in enumerate(self.offsets):
+            grads[t] = self.m * ((s_sum / (n_t * t) - s[k] / t) / (self.n * n_t))
+        return LossValue(value, grad=grads)
+
+
 def masked_chamfer(
     clouds: dict[int, PointCloud],
     masks: dict[int, StaticDynamicMask],
     flows: dict[int, PointFlowSet],
     with_grad: bool = False,
-    nn_cache: dict | None = None,
-    multiplicity: np.ndarray | None = None,
-    trees: dict | None = None,
 ) -> LossValue:
-    """Chamfer on the pseudo-dynamic parts plus a static zero-motion penalty.
-
-    clouds/masks must cover frame 0 and every predicted offset in flows.
-    For each offset the dynamic subset of frame 0 is warped and compared
-    against the dynamic subset of that frame; pseudo-static frame-0 points
-    pay the mean L1 norm of their flow. An empty dynamic set on either
-    side skips the Chamfer term for that offset.
-
-    multiplicity weights the frame-0 points of the static term; every
-    pseudo-dynamic point must have multiplicity 1. trees maps an offset to
-    a cKDTree built on the dynamic subset of that frame.
-    """
-    if 0 not in clouds or 0 not in masks:
-        raise ValueError("frame 0 cloud and mask are required")
-    cloud0, mask0 = clouds[0], masks[0]
-    if len(cloud0) != len(mask0):
-        raise ValueError("frame 0 cloud and mask lengths differ")
-    offsets = sorted(flows)
-    dyn0 = mask0.status == DYNAMIC
-    dyn0_idx = np.nonzero(dyn0)[0]
-    stat0_idx = np.nonzero(~dyn0)[0]
-    n0 = len(cloud0)
-    if multiplicity is None:
-        m = m_stat = None
-        n_stat = stat0_idx.size
-    else:
-        m = _multiplicity(multiplicity, n0)[:, None]
-        if np.any(m[dyn0_idx] != 1.0):
-            raise ValueError("pseudo-dynamic points must have multiplicity 1")
-        m_stat = np.take(m, stat0_idx, axis=0)
-        n_stat = float(m_stat.sum())
-
-    value = 0.0
-    grads: dict[int, np.ndarray] = {}
-    for t in offsets:
-        fl = flows[t]
-        if len(fl) != n0:
-            raise ValueError("flow length differs from frame 0 cloud")
-        if t not in clouds or t not in masks:
-            raise ValueError(f"missing frame data for offset {t}")
-        if len(clouds[t]) != len(masks[t]):
-            raise ValueError(f"cloud and mask lengths differ at offset {t}")
-        g = None
-        if with_grad:
-            if stat0_idx.size:
-                # The static gradient of every point with the dynamic rows
-                # zeroed: the numbers of a scatter into the static rows.
-                g = (np.sign(fl.flows) if m is None else m * np.sign(fl.flows)) / n_stat
-                g[dyn0_idx] = 0.0
-            else:
-                g = np.zeros((n0, 3))
-
-        target = clouds[t].points[masks[t].status == DYNAMIC]
-        if dyn0_idx.size and target.shape[0]:
-            warped = cloud0.points[dyn0_idx] + fl.flows[dyn0_idx]
-            pairs = nn_cache.get(t) if nn_cache is not None else None
-            if pairs is None:
-                tree = trees.get(t) if trees is not None else None
-                pairs = chamfer_pairs(warped, target, tree)
-                if nn_cache is not None:
-                    nn_cache[t] = pairs
-            cd = chamfer(
-                PointCloud(t, warped), PointCloud(t, target), with_grad=with_grad, pairs=pairs
-            )
-            value += cd.value
-            if with_grad:
-                g[dyn0_idx] += cd.grad["a"]
-
-        if stat0_idx.size:
-            fs = np.take(fl.flows, stat0_idx, axis=0)
-            l1 = np.abs(fs) if m_stat is None else m_stat * np.abs(fs)
-            value += float(l1.sum()) / n_stat
-        if with_grad:
-            g /= len(offsets)
-            grads[t] = g
-
-    value /= len(offsets)
-    if not with_grad:
-        return LossValue(value)
-    return LossValue(value, grad=grads)
+    """MaskedChamfer over the offsets of flows, evaluated once."""
+    return MaskedChamfer(clouds, masks, flows)(flows, with_grad)
 
 
 def rigidity(
-    pieces: RigidPieces,
-    flows: dict[int, PointFlowSet],
-    with_grad: bool = False,
-    multiplicity: np.ndarray | None = None,
+    pieces: RigidPieces, flows: dict[int, PointFlowSet], with_grad: bool = False
 ) -> LossValue:
-    """Mean absolute deviation of flows about their piece mean, per frame.
-
-    Pieces with no constraint (piece_count 0) yield 0. multiplicity, if
-    given, weights each point of pieces.labels.
-    """
-    if pieces.piece_count == 0:
-        if not with_grad:
-            return LossValue(0.0)
-        return LossValue(0.0, grad={t: np.zeros((len(f), 3)) for t, f in flows.items()})
-    labels = pieces.labels
-    valid = np.flatnonzero(labels >= 0)
-    lab = labels[valid]
-    n_r = pieces.piece_count
-    if multiplicity is None:
-        m = None
-        counts = np.bincount(lab, minlength=n_r).astype(np.float64)
-    else:
-        m = _multiplicity(multiplicity, len(labels))[valid, None]
-        counts = np.bincount(lab, weights=m[:, 0], minlength=n_r)
-    w = 1.0 / (n_r * counts[lab])  # per-point weight 1/(N_r |R_j|)
-    if m is not None:
-        w = w * m[:, 0]
-
-    value = 0.0
-    grads: dict[int, np.ndarray] = {}
-    for t, fl in sorted(flows.items()):
-        f = np.take(fl.flows, valid, axis=0)
-        fm = f if m is None else m * f
-        means = np.zeros((n_r, 3))
-        for c in range(3):
-            means[:, c] = np.bincount(lab, weights=fm[:, c], minlength=n_r)
-        means /= counts[:, None]
-        dev = f - np.take(means, lab, axis=0)
-        value += float((w[:, None] * np.abs(dev)).sum())
-        if with_grad:
-            s = np.sign(dev)
-            sm = s if m is None else m * s
-            piece_s = np.zeros((n_r, 3))
-            for c in range(3):
-                piece_s[:, c] = np.bincount(lab, weights=sm[:, c], minlength=n_r)
-            g_valid = w[:, None] * (s - np.take(piece_s, lab, axis=0) / counts[lab, None])
-            g = np.zeros((len(fl), 3))
-            g[valid] = g_valid
-            g /= len(flows)
-            grads[t] = g
-
-    value /= len(flows)
-    if not with_grad:
-        return LossValue(value)
-    return LossValue(value, grad=grads)
+    """Rigidity of pieces, evaluated once."""
+    return Rigidity(pieces)(flows, with_grad)
 
 
 def temporal_consistency(
-    flows: dict[int, PointFlowSet],
-    frame_set: FrameSet,
-    with_grad: bool = False,
-    multiplicity: np.ndarray | None = None,
+    flows: dict[int, PointFlowSet], frame_set: FrameSet, with_grad: bool = False
 ) -> LossValue:
-    """Mean absolute deviation of per-frame velocities from their mean.
-
-    Displacements are divided by their signed offset, so a backward frame
-    contributes a forward velocity and constant-velocity motion is the
-    exact zero of the loss. multiplicity, if given, weights each point.
-    """
-    offsets = sorted(flows)
-    if 0 in offsets:
-        raise ValueError("offset 0 has no velocity")
-    if len(offsets) < 2:
-        raise ValueError("temporal consistency needs at least two offsets")
-    n = len(flows[offsets[0]])
-    n_t = len(offsets)
-    vel = np.stack([flows[t].flows / t for t in offsets])  # (T, N, 3)
-    vbar = vel.mean(axis=0)
-    x = vbar[None] - vel
-    if multiplicity is None:
-        m = None
-        value = float(np.abs(x).sum()) / (n * n_t)
-    else:
-        m = _multiplicity(multiplicity, n)[:, None]
-        n = float(m.sum())
-        value = float((m * np.abs(x)).sum()) / (n * n_t)
-    if not with_grad:
-        return LossValue(value)
-    s = np.sign(x)
-    s_sum = s.sum(axis=0)  # (N, 3)
-    grads = {}
-    for k, t in enumerate(offsets):
-        g = (s_sum / (n_t * t) - s[k] / t) / (n * n_t)
-        grads[t] = g if m is None else m * g
-    return LossValue(value, grad=grads)
+    """TemporalConsistency over frame_set.offsets, evaluated once; the keys
+    of flows must be those offsets."""
+    n = len(next(iter(flows.values()), ()))
+    return TemporalConsistency(frame_set, n)(flows, with_grad)
 
 
 def smoothness_neighbors(points: np.ndarray, k: int) -> np.ndarray:

@@ -17,10 +17,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, PointFlowSet, cell_indices
-from .losses import LossValue, LossWeights, masked_chamfer, rigidity, temporal_consistency, total
+from .losses import LossValue, LossWeights, MaskedChamfer, Rigidity, TemporalConsistency, total
 from .masks import DYNAMIC, STATIC, MaskThresholds, StaticDynamicMask, build_mask
 from .pieces import PieceParams, RigidPieces, build_pieces
 from .scene import SceneBundle
@@ -89,18 +88,18 @@ class CellSpace:
     and, when the rigidity term is on, a piece label. Each unit carries its
     group size as its loss multiplicity and reads its flow from one row of
     a padded field: the n_occupied cell rows, then a pinned zero row for
-    out-of-grid points.
+    out-of-grid points. The loss terms are set up once over the units; a
+    term whose weight is zero is None.
     """
 
     spec: BevGridSpec
     cells: tuple  # (ix, iy) arrays of the n_occupied cells
     counts: np.ndarray  # (n_occupied, 1) frame-0 points per cell
     rows: np.ndarray  # (U,) padded-field row of each unit
-    multiplicity: np.ndarray  # (U,) points per unit
-    clouds: dict  # 0 -> unit positions; t -> pseudo-dynamic points of frame t
-    masks: dict  # statuses matching clouds
-    pieces: RigidPieces | None  # unit labels, None without the rigidity term
-    trees: dict  # t -> cKDTree of clouds[t], for non-empty targets
+    weights: LossWeights
+    mc: MaskedChamfer
+    pr: Rigidity | None
+    tc: TemporalConsistency | None
 
     def dense(self, compact: np.ndarray) -> np.ndarray:
         out = np.zeros((self.spec.cells_x, self.spec.cells_y, 2))
@@ -120,7 +119,8 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
                 raise ValueError(f"missing pseudo mask for frame {t}")
             if len(bundle.pseudo_masks[t]) != len(bundle.clouds[t]):
                 raise ValueError(f"cloud and mask lengths differ at frame {t}")
-    use_pieces = cfg.weights.lambda_pr > 0
+    w = cfg.weights
+    use_pieces = w.lambda_pr > 0
     if use_pieces and bundle.pieces is None:
         raise ValueError("missing rigid pieces")
 
@@ -152,77 +152,55 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         row[rest] * (n_r + 1) + (labels[rest] + 1), return_index=True, return_counts=True
     )
     members = np.concatenate([dyn, rest[first]])
+    m = np.concatenate([np.ones(dyn.size), size.astype(np.float64)])
     status = np.full(members.size, STATIC, dtype=np.uint8)
     status[: dyn.size] = DYNAMIC
 
     clouds = {0: PointCloud(0, points0[members])}
     masks = {0: StaticDynamicMask(0, status)}
-    trees = {}
     for t in offsets:
         target = bundle.clouds[t].points[dynamic(t)]
         clouds[t] = PointCloud(t, target)
         masks[t] = StaticDynamicMask(t, np.full(len(target), DYNAMIC, dtype=np.uint8))
-        if len(target):
-            trees[t] = cKDTree(target)
     return CellSpace(
         spec=spec,
         cells=(keys // spec.cells_y, keys % spec.cells_y),
         counts=counts.astype(np.float64)[:, None],
         rows=row[members],
-        multiplicity=np.concatenate([np.ones(dyn.size), size.astype(np.float64)]),
-        clouds=clouds,
-        masks=masks,
-        pieces=RigidPieces(0, labels[members], n_r) if use_pieces else None,
-        trees=trees,
+        weights=w,
+        mc=MaskedChamfer(clouds, masks, offsets, m),
+        pr=Rigidity(RigidPieces(0, labels[members], n_r), m) if use_pieces else None,
+        tc=TemporalConsistency(cfg.frame_set, m.size, m) if w.lambda_tc > 0 else None,
     )
 
 
-def field_loss_and_gradients(
-    bundle: SceneBundle, fields: dict, cfg: OptimConfig, space: CellSpace | None = None
-):
+def field_loss_and_gradients(space: CellSpace, fields: dict):
     """Total loss plus analytic per-cell gradients (sum over cell points).
 
-    fields maps each offset to a dense (cells_x, cells_y, 2) array, and the
-    gradients come back dense. Cells with no frame-0 points get zero
-    gradient; out-of-grid points carry zero flow and contribute none. With
-    a prebuilt space (cell_space(bundle, cfg)), fields and gradients are
-    that space's (n_occupied, 2) arrays instead.
+    fields maps each offset to an (n_occupied, 2) array over the cells of
+    space, and the gradients come back in the same form. Out-of-grid
+    points carry zero flow and contribute no gradient.
     """
-    dense = space is None
-    if dense:
-        space = cell_space(bundle, cfg)
-        fields = {t: fields[t][space.cells] for t in cfg.frame_set.offsets}
     n_occ = space.counts.shape[0]
     flows = {}
-    for t in cfg.frame_set.offsets:
+    for t, f in fields.items():
         padded = np.zeros((n_occ + 1, 3))
-        padded[:n_occ, :2] = fields[t]
+        padded[:n_occ, :2] = f
         flows[t] = PointFlowSet(time_offset=t, flows=np.take(padded, space.rows, axis=0))
 
-    w = cfg.weights
-    m = space.multiplicity
-    mc = masked_chamfer(
-        space.clouds, space.masks, flows, with_grad=True, multiplicity=m, trees=space.trees
-    )
-    if w.lambda_pr > 0:
-        pr = rigidity(space.pieces, flows, with_grad=True, multiplicity=m)
-    else:
-        pr = LossValue(0.0, grad={})
-    if w.lambda_tc > 0:
-        tc = temporal_consistency(flows, cfg.frame_set, with_grad=True, multiplicity=m)
-    else:
-        tc = LossValue(0.0, grad={})
-    tot = total(mc, pr, tc, w)
+    off = LossValue(0.0, grad={})
+    mc = space.mc(flows, with_grad=True)
+    pr = space.pr(flows, with_grad=True) if space.pr is not None else off
+    tc = space.tc(flows, with_grad=True) if space.tc is not None else off
+    tot = total(mc, pr, tc, space.weights)
 
     cell_grads = {}
-    for t in cfg.frame_set.offsets:
+    for t in fields:
         g = tot.grad[t]
         cell_grads[t] = np.stack(
             [np.bincount(space.rows, weights=g[:, c], minlength=n_occ + 1)[:n_occ] for c in (0, 1)],
             axis=1,
         )
-    if dense:
-        cell_grads = {t: space.dense(g) for t, g in cell_grads.items()}
     components = {"total": tot.value, "mc": mc.value, "pr": pr.value, "tc": tc.value}
     return components, cell_grads
 
@@ -250,7 +228,7 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
     for it in range(cfg.max_iters):
         if it > 0 and it % LR_DECAY_EVERY == 0:
             lr *= LR_DECAY
-        components, cell_grads = field_loss_and_gradients(bundle, fields, cfg, space)
+        components, cell_grads = field_loss_and_gradients(space, fields)
         grad_norm = math.sqrt(sum(float((g * g).sum()) for g in cell_grads.values()))
         trajectory.append({"iter": it, **components, "lr": lr, "grad_norm": grad_norm})
         loss = components["total"]

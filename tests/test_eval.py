@@ -52,20 +52,18 @@ def test_bucket_assignment_uses_gt_speed():
     assert report.bucket("fast") is report.fast
 
 
-def test_static_epsilon_loosens_the_zero_bucket():
-    gt = field_with({(1, 1): (0.05, 0.0)})
-    pred = field_with({})
-    strict = evaluation.evaluate(pred, gt, cloud_at_cells([(1, 1)]))
-    assert strict.static.count == 0 and strict.slow.count == 1
-    loose = evaluation.evaluate(pred, gt, cloud_at_cells([(1, 1)]), static_epsilon=0.1)
-    assert loose.static.count == 1 and loose.slow.count == 0
-
-
 def test_horizon_scales_speed():
     gt = field_with({(1, 1): (4.0, 0.0)})  # 4 m over 0.5 s -> 8 m/s
     pred = field_with({})
     report = evaluation.evaluate(pred, gt, cloud_at_cells([(1, 1)]), horizon_s=0.5)
     assert report.fast.count == 1
+
+
+@pytest.mark.parametrize("horizon_s", [0.0, -1.0, float("nan")])
+def test_non_positive_horizon_rejected(horizon_s):
+    gt = field_with({(1, 1): (4.0, 0.0)})
+    with pytest.raises(ValueError, match="horizon"):
+        evaluation.evaluate(field_with({}), gt, cloud_at_cells([(1, 1)]), horizon_s=horizon_s)
 
 
 def test_interpolate_flow_scales_values_and_offset():

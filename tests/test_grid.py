@@ -1,4 +1,4 @@
-"""BEV grid binning, field-to-point assignment, and warping."""
+"""BEV grid binning and field-to-point assignment."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from bevss.grid import (
     BevMotionField,
     FrameSet,
     PointCloud,
-    PointFlowSet,
     cell_indices,
     field_to_point_flows,
-    warp,
 )
 
 SPEC = BevGridSpec()
@@ -130,19 +128,3 @@ def test_field_to_point_flows_assigns_cell_motion():
     np.testing.assert_allclose(flows.flows[2], 0.0)  # out-of-grid points stay put
     assert np.all(flows.flows[:, 2] == 0.0)
 
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_warp_is_invertible(seed):
-    r = np.random.default_rng(seed)
-    pts = r.normal(size=(20, 3))
-    f = r.normal(size=(20, 3))
-    forward = warp(PointCloud(0, pts.copy()), PointFlowSet(1, f.copy()))
-    back = warp(forward, PointFlowSet(0, -f))
-    np.testing.assert_allclose(back.points, pts, atol=1e-12)
-    np.testing.assert_array_equal(forward.points, pts + f)
-
-
-def test_warp_length_mismatch():
-    with pytest.raises(ValueError):
-        warp(PointCloud(0, np.zeros((3, 3))), PointFlowSet(1, np.zeros((4, 3))))

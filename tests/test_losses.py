@@ -7,6 +7,9 @@ from scipy.spatial import cKDTree
 from bevss.grid import FrameSet, PointCloud, PointFlowSet
 from bevss.losses import (
     LossWeights,
+    MaskedChamfer,
+    Rigidity,
+    TemporalConsistency,
     chamfer,
     chamfer_pairs,
     masked_chamfer,
@@ -119,6 +122,12 @@ def test_masked_chamfer_validation():
         masked_chamfer(clouds, masks, {1: PointFlowSet(1, np.zeros((3, 3)))})
     with pytest.raises(ValueError):
         masked_chamfer(clouds, masks, {1: PointFlowSet(1, np.zeros((2, 3)))})
+    full_clouds = {**clouds, 1: clouds[0]}
+    full_masks = {**masks, 1: StaticDynamicMask(1, np.zeros(2, dtype=np.uint8))}
+    with pytest.raises(ValueError, match="flow length"):
+        masked_chamfer(full_clouds, full_masks, {1: PointFlowSet(1, np.zeros((3, 3)))})
+    with pytest.raises(ValueError, match="flow offsets"):
+        MaskedChamfer(full_clouds, full_masks, (1,))({2: PointFlowSet(2, np.zeros((2, 3)))})
 
 
 def test_rigidity_hand_computed():
@@ -142,6 +151,14 @@ def test_rigidity_averages_over_frames():
     dev[0, 1] = 2.0  # mean 1, deviations +/-1 -> sum 2 at weight 1/2
     flows = {1: PointFlowSet(1, dev), 2: PointFlowSet(2, np.zeros((2, 3)))}
     assert rigidity(pieces, flows).value == pytest.approx(0.5)
+
+
+def test_rigidity_piece_sums_match_per_column_bincount(rng):
+    labels = rng.integers(-1, 6, size=60).astype(np.int32)
+    term = Rigidity(RigidPieces(0, labels, 6))
+    x = rng.normal(size=(term.lab.size, 3))
+    ref = np.stack([np.bincount(term.lab, weights=x[:, c], minlength=6) for c in range(3)], axis=1)
+    np.testing.assert_array_equal(term._piece_sums(x), ref)
 
 
 def test_rigidity_empty_pieces_is_zero():
@@ -172,6 +189,17 @@ def test_temporal_consistency_validation():
             {0: PointFlowSet(0, np.zeros((2, 3))), 1: PointFlowSet(1, np.zeros((2, 3)))},
             FrameSet(),
         )
+    with pytest.raises(ValueError, match="at least two offsets"):
+        temporal_consistency({1: PointFlowSet(1, np.zeros((2, 3)))}, FrameSet(offsets=(1,)))
+
+
+def test_temporal_consistency_reads_its_frame_set():
+    flows = {t: PointFlowSet(t, np.full((2, 3), float(t))) for t in (1, 2)}
+    assert temporal_consistency(flows, FrameSet(offsets=(2, 1))).value == 0.0
+    with pytest.raises(ValueError, match="frame set"):
+        temporal_consistency(flows, FrameSet(offsets=(1, 2, 3)))
+    with pytest.raises(ValueError, match="frame set"):
+        temporal_consistency(flows, FrameSet(offsets=(-1, 1)))
 
 
 def test_smoothness_hand_computed():
@@ -209,13 +237,53 @@ def test_prebuilt_target_trees_change_nothing(rng):
     a, b = rng.normal(size=(25, 3)), rng.normal(size=(35, 3))
     for ref, res in zip(chamfer_pairs(a, b), chamfer_pairs(a, b, cKDTree(b))):
         np.testing.assert_array_equal(res, ref)
+    # The term's pairs come from its prebuilt target trees.
     clouds, masks, flows = _weighted_scene(rng)
-    trees = {t: cKDTree(clouds[t].points[masks[t].status == DYNAMIC]) for t in OFFSETS}
-    ref = masked_chamfer(clouds, masks, flow_sets(flows), with_grad=True)
-    res = masked_chamfer(clouds, masks, flow_sets(flows), with_grad=True, trees=trees)
-    assert res.value == ref.value
+    term = MaskedChamfer(clouds, masks, OFFSETS)
+    pairs = term.pairs(flow_sets(flows))
     for t in OFFSETS:
+        dyn0 = masks[0].status == DYNAMIC
+        warped = clouds[0].points[dyn0] + flows[t][dyn0]
+        target = clouds[t].points[masks[t].status == DYNAMIC]
+        for ref, res in zip(chamfer_pairs(warped, target), pairs[t]):
+            np.testing.assert_array_equal(res, ref)
+    ref = masked_chamfer(clouds, masks, flow_sets(flows), with_grad=True)
+    _assert_same(term(flow_sets(flows), with_grad=True), ref)
+
+
+def _assert_same(res, ref):
+    assert res.value == ref.value
+    assert res.grad.keys() == ref.grad.keys()
+    for t in ref.grad:
         np.testing.assert_array_equal(res.grad[t], ref.grad[t])
+
+
+def test_terms_equal_public_functions_on_successive_flows(rng):
+    # Cached setup arrays must survive evaluation: the first flow set,
+    # evaluated again after a second one, gives the fresh result.
+    clouds, masks, _ = _weighted_scene(rng)
+    n = len(clouds[0])
+    pieces = RigidPieces(0, rng.integers(-1, 4, size=n).astype(np.int32), 4)
+    fs = FrameSet(offsets=OFFSETS)
+    terms = [
+        (MaskedChamfer(clouds, masks, OFFSETS), lambda f: masked_chamfer(clouds, masks, f, True)),
+        (Rigidity(pieces), lambda f: rigidity(pieces, f, True)),
+        (TemporalConsistency(fs, n), lambda f: temporal_consistency(f, fs, True)),
+    ]
+    first = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
+    second = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
+    for term, call in terms:
+        for flows in (first, second, first):
+            _assert_same(term(flow_sets(flows), with_grad=True), call(flow_sets(flows)))
+
+
+def test_masked_chamfer_with_its_own_pairs_is_unchanged(rng):
+    clouds, masks, flows = _weighted_scene(rng)
+    term = MaskedChamfer(clouds, masks, OFFSETS)
+    pairs = term.pairs(flow_sets(flows))
+    assert set(pairs) == set(OFFSETS)
+    assert term(flow_sets(flows), pairs=pairs).value == term(flow_sets(flows)).value
+    _assert_same(term(flow_sets(flows), True, pairs), term(flow_sets(flows), True))
 
 
 # --- multiplicities: a point with multiplicity k counts as k copies --------
@@ -251,7 +319,7 @@ def test_masked_chamfer_multiplicity_equals_copies(rng):
     status = masks[0].status
     k = np.where(status == DYNAMIC, 1, rng.integers(1, 5, size=len(status)))
     rep = _copies(k)
-    weighted = masked_chamfer(clouds, masks, flow_sets(flows), with_grad=True, multiplicity=k)
+    weighted = MaskedChamfer(clouds, masks, OFFSETS, k)(flow_sets(flows), with_grad=True)
     clouds_x = {**clouds, 0: PointCloud(0, clouds[0].points[rep])}
     masks_x = {**masks, 0: StaticDynamicMask(0, status[rep])}
     flows_x = {t: f[rep] for t, f in flows.items()}
@@ -265,7 +333,7 @@ def test_rigidity_multiplicity_equals_copies(rng):
     k = rng.integers(1, 5, size=n)
     flows = {t: rng.normal(size=(n, 3)) for t in OFFSETS}
     rep = _copies(k)
-    weighted = rigidity(RigidPieces(0, labels, 4), flow_sets(flows), True, multiplicity=k)
+    weighted = Rigidity(RigidPieces(0, labels, 4), k)(flow_sets(flows), True)
     expanded = rigidity(
         RigidPieces(0, labels[rep], 4), flow_sets({t: f[rep] for t, f in flows.items()}), True
     )
@@ -278,7 +346,7 @@ def test_temporal_consistency_multiplicity_equals_copies(rng):
     flows = {t: rng.normal(size=(n, 3)) for t in OFFSETS}
     rep = _copies(k)
     fs = FrameSet(offsets=OFFSETS)
-    weighted = temporal_consistency(flow_sets(flows), fs, True, multiplicity=k)
+    weighted = TemporalConsistency(fs, n, k)(flow_sets(flows), True)
     expanded = temporal_consistency(flow_sets({t: f[rep] for t, f in flows.items()}), fs, True)
     _assert_weighted_equals_expanded(weighted, expanded, k)
 
@@ -290,37 +358,42 @@ def test_unit_multiplicities_are_bit_identical(rng):
     pieces = RigidPieces(0, rng.integers(-1, 4, size=n).astype(np.int32), 4)
     fs = FrameSet(offsets=OFFSETS)
     losses = [
-        lambda **kw: masked_chamfer(clouds, masks, flow_sets(flows), True, **kw),
-        lambda **kw: rigidity(pieces, flow_sets(flows), True, **kw),
-        lambda **kw: temporal_consistency(flow_sets(flows), fs, True, **kw),
+        (
+            lambda: masked_chamfer(clouds, masks, flow_sets(flows), True),
+            MaskedChamfer(clouds, masks, OFFSETS, ones),
+        ),
+        (lambda: rigidity(pieces, flow_sets(flows), True), Rigidity(pieces, ones)),
+        (lambda: temporal_consistency(flow_sets(flows), fs, True), TemporalConsistency(fs, n, ones)),
     ]
-    for loss in losses:
-        ref, res = loss(), loss(multiplicity=ones)
+    for loss, term in losses:
+        ref, res = loss(), term(flow_sets(flows), True)
         assert res.value == ref.value
         for t in OFFSETS:
             np.testing.assert_array_equal(res.grad[t], ref.grad[t])
 
 
-@pytest.mark.parametrize("bad", ["short", "zero", "negative", "nan", "dynamic-two"])
+@pytest.mark.parametrize("bad", ["short", "zero", "negative", "nan", "dynamic-two", "scalar-zero"])
 def test_multiplicity_validation(rng, bad):
     clouds, masks, flows = _weighted_scene(rng)
     n = len(clouds[0])
     k = np.ones(n)
     if bad == "short":
         k = k[:-1]
+    elif bad == "scalar-zero":
+        k = 0.0
     elif bad == "dynamic-two":
         k[np.flatnonzero(masks[0].status == DYNAMIC)[0]] = 2.0
     else:
         value = {"zero": 0.0, "negative": -1.0, "nan": np.nan}[bad]
         k[np.flatnonzero(masks[0].status == STATIC)[0]] = value
     with pytest.raises(ValueError, match="multiplicit"):
-        masked_chamfer(clouds, masks, flow_sets(flows), multiplicity=k)
+        MaskedChamfer(clouds, masks, OFFSETS, k)
     if bad != "dynamic-two":
         pieces = RigidPieces(0, np.zeros(n, dtype=np.int32), 1)
         with pytest.raises(ValueError, match="multiplicit"):
-            rigidity(pieces, flow_sets(flows), multiplicity=k)
+            Rigidity(pieces, k)
         with pytest.raises(ValueError, match="multiplicit"):
-            temporal_consistency(flow_sets(flows), FrameSet(), multiplicity=k)
+            TemporalConsistency(FrameSet(), n, k)
 
 
 def test_total_combines_weighted_values_and_gradients():

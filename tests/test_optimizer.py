@@ -20,6 +20,7 @@ from bevss.masks import DYNAMIC, StaticDynamicMask
 from bevss.optimizer import (
     DivergenceError,
     OptimConfig,
+    cell_space,
     field_loss_and_gradients,
     optimize,
     prepare_supervision,
@@ -108,17 +109,26 @@ def test_prepare_supervision_is_idempotent(supervised):
     assert supervised.pieces is pieces_before
 
 
+def _dense_loss_and_gradients(space, fields):
+    """field_loss_and_gradients on dense fields, with dense gradients."""
+    components, grads = field_loss_and_gradients(
+        space, {t: f[space.cells] for t, f in fields.items()}
+    )
+    return components, {t: space.dense(g) for t, g in grads.items()}
+
+
 def test_gradients_at_zero_point_downhill(supervised):
     cfg = OptimConfig(max_iters=1)
     zeros = {
         t: np.zeros((supervised.grid.cells_x, supervised.grid.cells_y, 2))
         for t in cfg.frame_set.offsets
     }
-    components, grads = field_loss_and_gradients(supervised, zeros, cfg)
+    space = cell_space(supervised, cfg)
+    components, grads = _dense_loss_and_gradients(space, zeros)
     assert components["total"] > 0.0
     lr = 1e-3
     stepped = {t: zeros[t] - lr * grads[t] for t in zeros}
-    after, _ = field_loss_and_gradients(supervised, stepped, cfg)
+    after, _ = _dense_loss_and_gradients(space, stepped)
     assert after["total"] < components["total"]
 
 
@@ -129,11 +139,12 @@ def _random_fields(bundle, offsets, seed):
 
 
 def _assert_matches_point_oracle(bundle, cfg, seed=0):
+    space = cell_space(bundle, cfg)
     for fields in (
         {t: np.zeros((bundle.grid.cells_x, bundle.grid.cells_y, 2)) for t in cfg.frame_set.offsets},
         _random_fields(bundle, cfg.frame_set.offsets, seed),
     ):
-        components, grads = field_loss_and_gradients(bundle, fields, cfg)
+        components, grads = _dense_loss_and_gradients(space, fields)
         ref_components, ref_grads = _point_field_loss_and_gradients(bundle, fields, cfg)
         assert components.keys() == ref_components.keys()
         for key, ref in ref_components.items():
@@ -253,12 +264,12 @@ def test_optimize_non_finite_loss_raises_divergence(supervised, monkeypatch):
     # check can stop the descent.
     calls = []
 
-    def nan_on_third(flows, frame_set, with_grad=False, multiplicity=None):
+    def nan_on_third(mc, pr, tc, weights):
         calls.append(None)
-        res = temporal_consistency(flows, frame_set, with_grad, multiplicity)
+        res = total(mc, pr, tc, weights)
         return LossValue(math.nan if len(calls) == 3 else res.value, res.grad)
 
-    monkeypatch.setattr(optimizer, "temporal_consistency", nan_on_third)
+    monkeypatch.setattr(optimizer, "total", nan_on_third)
     with pytest.raises(DivergenceError, match="not finite") as info:
         optimize(supervised, OptimConfig(max_iters=20))
     report = info.value.report
