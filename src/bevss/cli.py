@@ -120,16 +120,16 @@ def cmd_optimize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for t, fld in fields.items():
         fileio.save_field(fileio.field_path(args.out, t), fld)
-    last = report.trajectory[-1]
+    final = report.final
     lines = [
         f"iterations={report.iterations}",
         f"converged={str(report.converged).lower()}",
         f"stop_reason={report.stop_reason}",
         f"wall_time_s={_fmt(report.wall_time_s)}",
-        f"loss_total={_fmt(last['total'])}",
-        f"loss_mc={_fmt(last['mc'])}",
-        f"loss_pr={_fmt(last['pr'])}",
-        f"loss_tc={_fmt(last['tc'])}",
+        f"loss_total={_fmt(final['total'])}",
+        f"loss_mc={_fmt(final['mc'])}",
+        f"loss_pr={_fmt(final['pr'])}",
+        f"loss_tc={_fmt(final['tc'])}",
     ]
     with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

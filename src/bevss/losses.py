@@ -2,8 +2,10 @@
 
 Every loss returns a value and, on request, analytic gradients with
 respect to the per-point flows. Nearest-neighbor correspondences are
-recomputed per evaluation and held fixed within one gradient computation
-(the standard subgradient for piecewise-smooth NN objectives).
+those of the flows evaluated and are held fixed within one gradient
+computation (the standard subgradient for piecewise-smooth NN
+objectives). MaskedChamfer keeps them from call to call and re-queries
+only the points whose nearest neighbor may have changed.
 
 The three supervision signals are split into a setup step and an
 evaluate step. MaskedChamfer, Rigidity and TemporalConsistency check
@@ -59,18 +61,24 @@ def _multiplicity(multiplicity, n: int) -> np.ndarray:
     return np.full(n, m)[:, None]
 
 
-def chamfer_pairs(a: np.ndarray, b: np.ndarray, tree_b: cKDTree | None = None):
-    """Nearest-neighbor index maps (a->b, b->a) for the Chamfer terms.
-
-    tree_b, when given, must be a cKDTree built on b; it saves rebuilding
-    the tree of a target that stays fixed across calls.
-    """
-    if tree_b is None:
-        tree_b = cKDTree(b)
-    _, a_to_b = tree_b.query(a)
-    tree_a = cKDTree(a)
-    _, b_to_a = tree_a.query(b)
+def chamfer_pairs(a: np.ndarray, b: np.ndarray):
+    """Nearest-neighbor index maps (a->b, b->a) for the Chamfer terms."""
+    _, a_to_b = cKDTree(b).query(a)
+    _, b_to_a = cKDTree(a).query(b)
     return a_to_b, b_to_a
+
+
+def _scatter_add(base: np.ndarray, idx: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """base with the rows of terms added at rows idx, as np.add.at does.
+
+    np.bincount adds its weights in input order, starting from 0.0, so the
+    sums are bit-identical to np.add.at, except that an untouched -0.0
+    entry of base comes back as +0.0.
+    """
+    n = len(base)
+    at = np.concatenate([np.arange(n), idx])
+    cols = [np.concatenate([base[:, c], terms[:, c]]) for c in range(3)]
+    return np.stack([np.bincount(at, weights=w, minlength=n) for w in cols], axis=1)
 
 
 def chamfer(a: PointCloud, b: PointCloud, with_grad: bool = False, pairs=None) -> LossValue:
@@ -86,11 +94,68 @@ def chamfer(a: PointCloud, b: PointCloud, with_grad: bool = False, pairs=None) -
     value = float((da * da).sum() + (db * db).sum())
     if not with_grad:
         return LossValue(value)
-    ga = 2.0 * da
-    np.add.at(ga, b_to_a, -2.0 * db)
-    gb = 2.0 * db
-    np.add.at(gb, a_to_b, -2.0 * da)
+    ga = _scatter_add(2.0 * da, b_to_a, -2.0 * db)
+    gb = _scatter_add(2.0 * db, a_to_b, -2.0 * da)
     return LossValue(value, grad={"a": ga, "b": gb})
+
+
+TIE = 1e-9  # distance margin (m) under which two neighbors count as tied
+
+
+def _nearest(tree: cKDTree, x: np.ndarray):
+    """(index, first distance, second distance) of each row's nearest points.
+
+    The index is that of a plain k=1 query: on a tie, cKDTree's k=2 query
+    may list the tied points in another order, so rows whose two distances
+    lie within TIE take their index from a k=1 query.
+    """
+    d, i = tree.query(x, k=2)
+    idx = i[:, 0]
+    tie = ~(d[:, 1] - d[:, 0] > TIE)
+    if tie.any():
+        idx[tie] = tree.query(x[tie])[1]
+    return idx, d[:, 0], d[:, 1]
+
+
+class _CertifiedPairs:
+    """Chamfer pairs of a moving cloud against a fixed target, re-queried
+    only where a distance bound cannot prove them unchanged.
+
+    a->b: a point that has moved by delta since its last query keeps its
+    neighbor j if 2 delta < gap - TIE, gap being the margin of the second
+    nearest target point over j at that query (triangle inequality).
+    b->a: S sums, over calls, the largest movement of any moving point; a
+    target point keeps its neighbor i if |b - a[i]| < e2 - (S - S_anchor)
+    - TIE, e2 being its second distance and S_anchor the value of S at its
+    last query. The first call, a large jump or a tie fails the tests, so
+    the pairs equal chamfer_pairs(a, b) whatever the call history.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.b, self.tree_b = b, cKDTree(b)
+        self.prev = a  # the moving points at the previous call
+        self.anchor = a.copy()  # each point's position at its last a->b query
+        self.a_to_b = np.zeros(len(a), dtype=np.intp)
+        self.gap = np.full(len(a), -np.inf)  # -inf: never certified yet
+        self.s = 0.0
+        self.b_to_a = np.zeros(len(b), dtype=np.intp)
+        self.e2 = np.full(len(b), -np.inf)
+        self.s_anchor = np.zeros(len(b))
+
+    def __call__(self, a: np.ndarray):
+        redo = ~(2.0 * np.linalg.norm(a - self.anchor, axis=1) < self.gap - TIE)
+        if redo.any():
+            idx, d1, d2 = _nearest(self.tree_b, a[redo])
+            self.a_to_b[redo], self.gap[redo], self.anchor[redo] = idx, d2 - d1, a[redo]
+
+        self.s += float(np.linalg.norm(a - self.prev, axis=1).max())
+        self.prev = a
+        e1 = np.linalg.norm(self.b - a[self.b_to_a], axis=1)
+        redo = ~(e1 < self.e2 - (self.s - self.s_anchor) - TIE)
+        if redo.any():
+            idx, _, e2 = _nearest(cKDTree(a), self.b[redo])
+            self.b_to_a[redo], self.e2[redo], self.s_anchor[redo] = idx, e2, self.s
+        return self.a_to_b.copy(), self.b_to_a.copy()
 
 
 class MaskedChamfer:
@@ -127,23 +192,20 @@ class MaskedChamfer:
         self.m_stat = np.take(m, self.stat_idx, axis=0)
         self.n_stat = float(self.m_stat.sum())
         self.dyn_points = cloud0.points[self.dyn_idx]
-        # One target cloud and tree per offset whose Chamfer term is on.
-        self.targets, self.trees = {}, {}
+        # One target cloud and pair state per offset whose Chamfer term is on.
+        self.targets, self.nn = {}, {}
         for t in self.offsets:
             target = clouds[t].points[masks[t].status == DYNAMIC]
             if self.dyn_idx.size and len(target):
                 self.targets[t] = PointCloud(t, target)
-                self.trees[t] = cKDTree(target)
+                self.nn[t] = _CertifiedPairs(self.dyn_points, self.targets[t].points)
 
     def _warped(self, flows: dict, t: int) -> np.ndarray:
         return self.dyn_points + flows[t].flows[self.dyn_idx]
 
     def pairs(self, flows: dict) -> dict:
         """Chamfer correspondences at flows, to hold fixed in later calls."""
-        return {
-            t: chamfer_pairs(self._warped(flows, t), target.points, self.trees[t])
-            for t, target in self.targets.items()
-        }
+        return {t: self.nn[t](self._warped(flows, t)) for t in self.targets}
 
     def __call__(self, flows: dict, with_grad: bool = False, pairs: dict | None = None):
         if flows.keys() != set(self.offsets):
@@ -163,10 +225,7 @@ class MaskedChamfer:
             if t in self.targets:
                 warped = self._warped(flows, t)
                 target = self.targets[t]
-                if pairs is None:
-                    nn = chamfer_pairs(warped, target.points, self.trees[t])
-                else:
-                    nn = pairs[t]
+                nn = self.nn[t](warped) if pairs is None else pairs[t]
                 cd = chamfer(PointCloud(t, warped), target, with_grad=with_grad, pairs=nn)
                 value += cd.value
                 if with_grad:

@@ -54,6 +54,7 @@ class OptimConfig:
 class OptimReport:
     iterations: int
     trajectory: list  # one dict per iteration: iter/total/mc/pr/tc/lr/grad_norm
+    final: dict  # total/mc/pr/tc at the returned fields
     fields: dict  # t -> BevMotionField
     wall_time_s: float
     converged: bool
@@ -214,7 +215,9 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
     the relative loss change fell below cfg.convergence_tol ("tol") or the
     iteration cap was reached ("max_iters"); a non-finite loss or gradient,
     or a loss above 10x the initial one, raises DivergenceError, whose
-    report says "diverged".
+    report says "diverged". The report's final holds the loss components
+    at the fields it returns: after "max_iters" the objective is evaluated
+    once more, since the last update follows the last trajectory entry.
     """
     start = time.perf_counter()
     space = cell_space(bundle, cfg)
@@ -242,7 +245,9 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
             reason = None
         if reason is not None:
             wall = time.perf_counter() - start
-            report = OptimReport(it + 1, trajectory, _wrap(fields, space), wall, False, "diverged")
+            report = OptimReport(
+                it + 1, trajectory, components, _wrap(fields, space), wall, False, "diverged"
+            )
             raise DivergenceError(reason, report)
         if it >= 10:
             past = trajectory[-11]["total"]
@@ -251,10 +256,13 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
                 break
         for t in fields:
             fields[t] -= lr * cell_grads[t] / space.counts
+    if stop_reason == "max_iters":  # the last update follows the last entry
+        components, _ = field_loss_and_gradients(space, fields)
 
     report = OptimReport(
         iterations=len(trajectory),
         trajectory=trajectory,
+        final=components,
         fields=_wrap(fields, space),
         wall_time_s=time.perf_counter() - start,
         converged=stop_reason == "tol",

@@ -62,6 +62,17 @@ def test_optimize_prints_stop_reason(workspace, tmp_path, capsys):
     assert "stop_reason=max_iters" in report
 
 
+def test_optimize_report_loss_matches_loss_command(workspace, capsys):
+    # report.txt holds the loss at the saved fields, not one step before.
+    # Field files store float32, so the two agree to that precision.
+    lines = open(os.path.join(workspace["pred"], "report.txt")).read().splitlines()
+    reported = dict(line.split("=") for line in lines)
+    assert cli.main(["loss", "--scene", workspace["scene"], "--pred", workspace["pred"]]) == 0
+    printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    for key in ("total", "mc", "pr", "tc"):
+        assert float(reported[f"loss_{key}"]) == pytest.approx(float(printed[key]), rel=1e-6)
+
+
 def test_loss_prints_all_components(workspace, capsys):
     rc = cli.main(["loss", "--scene", workspace["scene"], "--pred", workspace["pred"]])
     assert rc == 0

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from bevss.grid import FrameSet, PointCloud, PointFlowSet
 from bevss.losses import (
@@ -52,6 +51,20 @@ def test_chamfer_rejects_empty():
     b = PointCloud(1, np.zeros((2, 3)))
     with pytest.raises(ValueError):
         chamfer(a, b)
+
+
+def test_chamfer_gradient_scatter_matches_add_at(rng):
+    # Many rows of each operand share a neighbor, so the scatter adds
+    # several terms into one row, in input order, as np.add.at does.
+    a, b = rng.normal(size=(30, 3)), rng.normal(size=(12, 3))
+    a_to_b = rng.integers(0, 3, size=30)
+    b_to_a = rng.integers(0, 4, size=12)
+    res = chamfer(PointCloud(0, a), PointCloud(1, b), with_grad=True, pairs=(a_to_b, b_to_a))
+    da, db = a - b[a_to_b], b - a[b_to_a]
+    ga, gb = 2.0 * da, 2.0 * db
+    np.add.at(ga, b_to_a, -2.0 * db)
+    np.add.at(gb, a_to_b, -2.0 * da)
+    assert np.array_equal(res.grad["a"], ga) and np.array_equal(res.grad["b"], gb)
 
 
 def test_chamfer_pairs_map_to_nearest(rng):
@@ -234,9 +247,6 @@ def test_smoothness_with_fixed_neighbors_is_unchanged(rng):
 
 
 def test_prebuilt_target_trees_change_nothing(rng):
-    a, b = rng.normal(size=(25, 3)), rng.normal(size=(35, 3))
-    for ref, res in zip(chamfer_pairs(a, b), chamfer_pairs(a, b, cKDTree(b))):
-        np.testing.assert_array_equal(res, ref)
     # The term's pairs come from its prebuilt target trees.
     clouds, masks, flows = _weighted_scene(rng)
     term = MaskedChamfer(clouds, masks, OFFSETS)
@@ -284,6 +294,90 @@ def test_masked_chamfer_with_its_own_pairs_is_unchanged(rng):
     assert set(pairs) == set(OFFSETS)
     assert term(flow_sets(flows), pairs=pairs).value == term(flow_sets(flows)).value
     _assert_same(term(flow_sets(flows), True, pairs), term(flow_sets(flows), True))
+
+
+# --- certified reuse of the Chamfer pairs between calls -------------------
+
+
+def _dynamic_term(points0, targets):
+    """MaskedChamfer with every point dynamic; targets maps offset -> points."""
+    clouds = {0: PointCloud(0, points0), **{t: PointCloud(t, p) for t, p in targets.items()}}
+    masks = {t: StaticDynamicMask(t, np.full(len(c), DYNAMIC, dtype=np.uint8)) for t, c in clouds.items()}
+    return MaskedChamfer(clouds, masks, tuple(targets))
+
+
+def _assert_pairs_fresh(term, flows, via_call=False):
+    """The term's pairs at flows equal fresh chamfer_pairs. via_call moves
+    the term there by a call without pairs, otherwise by pairs()."""
+    ref = {t: chamfer_pairs(term.dyn_points + flows[t], term.targets[t].points) for t in flows}
+    if via_call:
+        _assert_same(term(flow_sets(flows), True), term(flow_sets(flows), True, ref))
+    got = term.pairs(flow_sets(flows))
+    assert got.keys() == ref.keys()
+    for t in ref:
+        assert all(np.array_equal(g, r) for g, r in zip(got[t], ref[t]))
+
+
+def test_certified_pairs_equal_fresh_pairs_after_every_call(rng):
+    # Dense enough that small steps change some neighbors.
+    n = 300
+    term = _dynamic_term(rng.random(size=(n, 3)), {t: rng.random(size=(n, 3)) for t in OFFSETS})
+    first = {t: rng.normal(scale=0.05, size=(n, 3)) for t in OFFSETS}
+    flows = {t: f.copy() for t, f in first.items()}
+    _assert_pairs_fresh(term, flows)
+    for i in range(30):  # small steps: most pairs certified, some change
+        for t in OFFSETS:
+            flows[t] = flows[t] + rng.normal(scale=0.01, size=(n, 3))
+        _assert_pairs_fresh(term, flows, via_call=i % 2 == 1)
+    jump = {t: f + rng.normal(scale=0.5, size=(n, 3)) for t, f in flows.items()}
+    _assert_pairs_fresh(term, jump, via_call=True)
+    _assert_pairs_fresh(term, first)  # back to the first flow set
+
+
+def test_certified_pairs_on_exact_ties():
+    # Duplicated target points and coincident warped points on a grid:
+    # every distance is exact and many tie, where a k=2 query may list the
+    # tied points in another order than a k=1 query returns.
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    target = np.concatenate([grid, grid[::-1]])
+    points0 = np.concatenate([grid, grid]) + 0.5
+    term = _dynamic_term(points0, {t: target for t in OFFSETS})
+    for step in (0.0, 0.25, 0.5, 0.25, 0.0, 0.0):
+        shift = np.tile([step, 0.0, -step], (len(points0), 1))
+        _assert_pairs_fresh(term, {t: t * shift for t in OFFSETS})
+
+
+def test_certificates_keep_a_margin_for_rounding(rng):
+    # Each case moves a point onto an exact tie by a step for which the
+    # certificate's bound holds with equality in exact arithmetic; rounding
+    # can make it hold strictly. Of two tied neighbors a fresh query returns
+    # the one of lower index, placed where the certificate would not look.
+    for _ in range(50):
+        m = rng.uniform(0.1, 1.0)
+        # a->b: from x0 to m, the midpoint of target points 2m and 0.
+        term = _dynamic_term(np.zeros((1, 3)), {1: np.array([[2 * m, 0, 0], [0, 0, 0]])})
+        for x in (rng.uniform(0.0, m), m):
+            _assert_pairs_fresh(term, {1: np.array([[x, 0.0, 0.0]])})
+        # b->a: warped point 0 moves from e to m, tying with warped point 1
+        # at -m as seen from the target point at 0.
+        term = _dynamic_term(np.zeros((2, 3)), {1: np.zeros((1, 3))})
+        for x in (rng.uniform(m, 3.0), m):
+            _assert_pairs_fresh(term, {1: np.array([[x, 0.0, 0.0], [-m, 0.0, 0.0]])})
+
+
+def test_repeated_flows_reuse_every_pair(rng, monkeypatch):
+    clouds, masks, flows = _weighted_scene(rng)
+    term = MaskedChamfer(clouds, masks, OFFSETS)
+    ref = term.pairs(flow_sets(flows))
+
+    def no_query(*args):
+        raise AssertionError("a certified pair was queried again")
+
+    monkeypatch.setattr("bevss.losses._nearest", no_query)
+    for got in (term.pairs(flow_sets(flows)), term.pairs(flow_sets(flows))):
+        for t in ref:
+            assert all(np.array_equal(g, r) for g, r in zip(got[t], ref[t]))
+    term(flow_sets(flows), with_grad=True)
 
 
 # --- multiplicities: a point with multiplicity k counts as k copies --------

@@ -214,6 +214,11 @@ def test_optimize_matches_point_oracle_descent(supervised, config):
     assert [e["total"] for e in report.trajectory] == pytest.approx(totals, rel=1e-12)
     for t in ref:
         np.testing.assert_allclose(fields[t].values, ref[t], rtol=0.0, atol=1e-12)
+    # The last update follows the last entry; final is the loss at the
+    # returned fields.
+    final, _ = _point_field_loss_and_gradients(supervised, ref, cfg)
+    assert report.final == pytest.approx(final, rel=1e-12)
+    assert report.final["total"] != report.trajectory[-1]["total"]
 
 
 def test_trajectory_records_step_size_and_gradient_norm(supervised):
@@ -243,6 +248,7 @@ def test_stop_reason_tol(supervised):
     assert 11 <= report.iterations < 50 and report.converged
     past, last = report.trajectory[-11]["total"], report.trajectory[-1]["total"]
     assert abs(past - last) <= 0.5 * abs(past)
+    assert report.final == {k: report.trajectory[-1][k] for k in ("total", "mc", "pr", "tc")}
 
 
 def test_optimize_respects_frame_subset(supervised):
@@ -274,7 +280,7 @@ def test_optimize_non_finite_loss_raises_divergence(supervised, monkeypatch):
         optimize(supervised, OptimConfig(max_iters=20))
     report = info.value.report
     assert report.stop_reason == "diverged" and report.iterations == 3
-    assert math.isnan(report.trajectory[-1]["total"])
+    assert math.isnan(report.trajectory[-1]["total"]) and math.isnan(report.final["total"])
     assert all(np.isfinite(f.values).all() for f in report.fields.values())
 
 
