@@ -14,10 +14,10 @@ import numpy as np
 
 from . import evaluation, fileio, gradcheck, synth
 from .fileio import _fmt
-from .grid import FrameSet, cell_indices, field_to_point_flows
-from .losses import LossWeights, masked_chamfer, rigidity, temporal_consistency, total
+from .grid import FrameSet, cell_indices
+from .losses import LossWeights
 from .masks import DYNAMIC, STATIC, MaskThresholds
-from .optimizer import OptimConfig, optimize, prepare_supervision
+from .optimizer import OptimConfig, cell_space, field_loss_and_gradients, optimize, prepare_supervision
 from .pieces import PieceParams, oversegment
 
 
@@ -90,16 +90,13 @@ def _load_pred_fields(pred_dir: str, bundle):
 def cmd_loss(args) -> int:
     bundle = fileio.load_scene(args.scene)
     _supervision(bundle, args)
+    space = cell_space(bundle, OptimConfig(frame_set=bundle.frame_set, weights=_weights(args)))
     fields = _load_pred_fields(args.pred, bundle)
-    flows = {t: field_to_point_flows(fld, bundle.clouds[0]) for t, fld in fields.items()}
-    mc = masked_chamfer(bundle.clouds, bundle.pseudo_masks, flows)
-    pr = rigidity(bundle.pieces, flows)
-    tc = temporal_consistency(flows, bundle.frame_set)
-    tot = total(mc, pr, tc, _weights(args))
-    print(f"mc: {_fmt(mc.value)}")
-    print(f"pr: {_fmt(pr.value)}")
-    print(f"tc: {_fmt(tc.value)}")
-    print(f"total: {_fmt(tot.value)}")
+    components, _ = field_loss_and_gradients(
+        space, {t: fld.values[space.cells] for t, fld in fields.items()}
+    )
+    for key in ("mc", "pr", "tc", "total"):
+        print(f"{key}: {_fmt(components[key])}")
     return 0
 
 

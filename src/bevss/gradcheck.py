@@ -9,12 +9,12 @@ import numpy as np
 from .grid import FrameSet, PointCloud, PointFlowSet
 from .losses import (
     MaskedChamfer,
+    Rigidity,
+    TemporalConsistency,
     chamfer,
     chamfer_pairs,
-    rigidity,
     smoothness,
     smoothness_neighbors,
-    temporal_consistency,
 )
 from .masks import StaticDynamicMask
 from .pieces import RigidPieces
@@ -64,58 +64,42 @@ def check_chamfer(rng: np.random.Generator, n: int = 50, step: float = 1e-4) -> 
     return max(_fd_err(loss, a, res.grad["a"], step), _fd_err(loss, b, res.grad["b"], step))
 
 
+def _check_term(term, flows: dict, step: float, fixed_pairs: bool = False) -> float:
+    """Max error of a prepared term's gradient over every offset of flows.
+
+    flows maps each offset to an (n, 3) array that is probed in place;
+    fixed_pairs holds a MaskedChamfer's pairs at those flows fixed.
+    """
+
+    def wrap():
+        return {t: PointFlowSet(t, f.copy()) for t, f in flows.items()}
+
+    kwargs = {"pairs": term.pairs(wrap())} if fixed_pairs else {}
+    res = term(wrap(), with_grad=True, **kwargs)
+    return max(
+        _fd_err(lambda: term(wrap(), **kwargs).value, f, res.grad[t], step)
+        for t, f in flows.items()
+    )
+
+
 def check_masked_chamfer(rng: np.random.Generator, n: int = 50, step: float = 1e-4) -> float:
     clouds = {t: PointCloud(t, rng.normal(size=(n, 3))) for t in (0, *OFFSETS)}
     masks = {
         t: StaticDynamicMask(t, (rng.random(n) < 0.6).astype(np.uint8)) for t in (0, *OFFSETS)
     }
     flows = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
-
-    def wrap():
-        return {t: PointFlowSet(t, f.copy()) for t, f in flows.items()}
-
-    term = MaskedChamfer(clouds, masks, OFFSETS)
-    pairs = term.pairs(wrap())
-    res = term(wrap(), with_grad=True, pairs=pairs)
-    err = 0.0
-    for t in OFFSETS:
-        fd = _fd_err(lambda: term(wrap(), pairs=pairs).value, flows[t], res.grad[t], step)
-        err = max(err, fd)
-    return err
+    return _check_term(MaskedChamfer(clouds, masks, OFFSETS), flows, step, fixed_pairs=True)
 
 
 def check_rigidity(rng: np.random.Generator, n: int = 50, step: float = 1e-4) -> float:
     labels = rng.integers(-1, 5, size=n).astype(np.int32)
-    n_r = int(labels.max()) + 1
-    pieces = RigidPieces(0, labels, n_r)
-    flows = {t: rng.normal(size=(n, 3)) for t in OFFSETS}
-
-    def wrap():
-        return {t: PointFlowSet(t, f.copy()) for t, f in flows.items()}
-
-    res = rigidity(pieces, wrap(), with_grad=True)
-    err = 0.0
-    for t in OFFSETS:
-        fd = _fd_err(lambda: rigidity(pieces, wrap()).value, flows[t], res.grad[t], step)
-        err = max(err, fd)
-    return err
+    term = Rigidity(RigidPieces(0, labels, int(labels.max()) + 1))
+    return _check_term(term, {t: rng.normal(size=(n, 3)) for t in OFFSETS}, step)
 
 
 def check_temporal(rng: np.random.Generator, n: int = 50, step: float = 1e-4) -> float:
-    frame_set = FrameSet(offsets=OFFSETS)
-    flows = {t: rng.normal(size=(n, 3)) for t in OFFSETS}
-
-    def wrap():
-        return {t: PointFlowSet(t, f.copy()) for t, f in flows.items()}
-
-    res = temporal_consistency(wrap(), frame_set, with_grad=True)
-    err = 0.0
-    for t in OFFSETS:
-        fd = _fd_err(
-            lambda: temporal_consistency(wrap(), frame_set).value, flows[t], res.grad[t], step
-        )
-        err = max(err, fd)
-    return err
+    term = TemporalConsistency(FrameSet(offsets=OFFSETS), n)
+    return _check_term(term, {t: rng.normal(size=(n, 3)) for t in OFFSETS}, step)
 
 
 def check_smoothness(rng: np.random.Generator, n: int = 50, step: float = 1e-4) -> float:

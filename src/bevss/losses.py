@@ -81,6 +81,20 @@ def _scatter_add(base: np.ndarray, idx: np.ndarray, terms: np.ndarray) -> np.nda
     return np.stack([np.bincount(at, weights=w, minlength=n) for w in cols], axis=1)
 
 
+def _chamfer(pa: np.ndarray, pb: np.ndarray, pairs, sides: str = "") -> tuple[float, dict]:
+    """Chamfer value of two point arrays at fixed pairs, and its gradient
+    with respect to each operand named in sides ("a", "b")."""
+    a_to_b, b_to_a = pairs
+    da = pa - pb[a_to_b]
+    db = pb - pa[b_to_a]
+    grad = {}
+    if "a" in sides:
+        grad["a"] = _scatter_add(2.0 * da, b_to_a, -2.0 * db)
+    if "b" in sides:
+        grad["b"] = _scatter_add(2.0 * db, a_to_b, -2.0 * da)
+    return float((da * da).sum() + (db * db).sum()), grad
+
+
 def chamfer(a: PointCloud, b: PointCloud, with_grad: bool = False, pairs=None) -> LossValue:
     """Symmetric sum of squared nearest-neighbor distances (sums, not means)."""
     pa, pb = a.points, b.points
@@ -88,15 +102,8 @@ def chamfer(a: PointCloud, b: PointCloud, with_grad: bool = False, pairs=None) -
         raise ValueError("empty operand")
     if pairs is None:
         pairs = chamfer_pairs(pa, pb)
-    a_to_b, b_to_a = pairs
-    da = pa - pb[a_to_b]
-    db = pb - pa[b_to_a]
-    value = float((da * da).sum() + (db * db).sum())
-    if not with_grad:
-        return LossValue(value)
-    ga = _scatter_add(2.0 * da, b_to_a, -2.0 * db)
-    gb = _scatter_add(2.0 * db, a_to_b, -2.0 * da)
-    return LossValue(value, grad={"a": ga, "b": gb})
+    value, grad = _chamfer(pa, pb, pairs, "ab" if with_grad else "")
+    return LossValue(value, grad=grad if with_grad else None)
 
 
 TIE = 1e-9  # distance margin (m) under which two neighbors count as tied
@@ -224,12 +231,11 @@ class MaskedChamfer:
 
             if t in self.targets:
                 warped = self._warped(flows, t)
-                target = self.targets[t]
                 nn = self.nn[t](warped) if pairs is None else pairs[t]
-                cd = chamfer(PointCloud(t, warped), target, with_grad=with_grad, pairs=nn)
-                value += cd.value
+                cd, cd_grad = _chamfer(warped, self.targets[t].points, nn, "a" if with_grad else "")
+                value += cd
                 if with_grad:
-                    g[self.dyn_idx] += cd.grad["a"]
+                    g[self.dyn_idx] += cd_grad["a"]
 
             if self.stat_idx.size:
                 value += float((self.m_stat * np.abs(fs)).sum()) / self.n_stat
@@ -384,21 +390,3 @@ def smoothness(
     g = 2.0 * diffs.sum(axis=1) / k
     np.add.at(g, nbr.ravel(), (-2.0 / k) * diffs.reshape(-1, 3))
     return LossValue(value, grad={flows.time_offset: g})
-
-
-def total(mc: LossValue, pr: LossValue, tc: LossValue, weights: LossWeights) -> LossValue:
-    """Weighted sum of the three supervision signals; gradients add linearly."""
-    value = weights.lambda_mc * mc.value + weights.lambda_pr * pr.value + weights.lambda_tc * tc.value
-    parts = [(weights.lambda_mc, mc), (weights.lambda_pr, pr), (weights.lambda_tc, tc)]
-    if all(p.grad is None for _, p in parts):
-        return LossValue(value)
-    grads: dict[int, np.ndarray] = {}
-    for lam, part in parts:
-        if part.grad is None:
-            continue
-        for t, g in part.grad.items():
-            if t in grads:
-                grads[t] = grads[t] + lam * g
-            else:
-                grads[t] = lam * g
-    return LossValue(value, grad=grads)

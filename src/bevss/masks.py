@@ -81,20 +81,18 @@ def build_mask(
         idx = np.nonzero(todo)[0]
         pts = cloud.points[idx]
         uv, _, valid_t = project_many(pts, cam_t)
-        _, _, valid_next = project_many(pts, cam_next)
+        uv_next, _, valid_next = project_many(pts, cam_next)
         valid = valid_t & valid_next
         if not np.any(valid):
             continue
         idx = idx[valid]
         pts = pts[valid]
         uv = uv[valid]
+        uv_next = uv_next[valid]
 
         u = np.minimum(np.rint(uv[:, 0]).astype(np.int64), cam_t.width - 1)
         v = np.minimum(np.rint(uv[:, 1]).astype(np.int64), cam_t.height - 1)
         total = flow_img.data[v, u].astype(np.float64)
-
-        hom_next = pts @ cam_next.proj[:, :3].T + cam_next.proj[:, 3]
-        uv_next = hom_next[:, :2] / hom_next[:, 2:3]
         f2d = total - (uv_next - uv)
 
         status[idx] = classify(f2d, lift_flow_many(f2d, pts, cam_t), thr)

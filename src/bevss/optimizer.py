@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, PointFlowSet, cell_indices
-from .losses import LossValue, LossWeights, MaskedChamfer, Rigidity, TemporalConsistency, total
+from .losses import LossWeights, MaskedChamfer, Rigidity, TemporalConsistency
 from .masks import DYNAMIC, STATIC, MaskThresholds, StaticDynamicMask, build_mask
 from .pieces import PieceParams, RigidPieces, build_pieces
 from .scene import SceneBundle
@@ -180,7 +180,8 @@ def field_loss_and_gradients(space: CellSpace, fields: dict):
 
     fields maps each offset to an (n_occupied, 2) array over the cells of
     space, and the gradients come back in the same form. Out-of-grid
-    points carry zero flow and contribute no gradient.
+    points carry zero flow and contribute no gradient. The total is the
+    weighted sum of the terms that are on; a term that is off reads 0.
     """
     n_occ = space.counts.shape[0]
     flows = {}
@@ -189,20 +190,30 @@ def field_loss_and_gradients(space: CellSpace, fields: dict):
         padded[:n_occ, :2] = f
         flows[t] = PointFlowSet(time_offset=t, flows=np.take(padded, space.rows, axis=0))
 
-    off = LossValue(0.0, grad={})
-    mc = space.mc(flows, with_grad=True)
-    pr = space.pr(flows, with_grad=True) if space.pr is not None else off
-    tc = space.tc(flows, with_grad=True) if space.tc is not None else off
-    tot = total(mc, pr, tc, space.weights)
+    w = space.weights
+    components = {"total": 0.0}
+    grads = {}
+    for name, lam, term in (
+        ("mc", w.lambda_mc, space.mc),
+        ("pr", w.lambda_pr, space.pr),
+        ("tc", w.lambda_tc, space.tc),
+    ):
+        if term is None:
+            components[name] = 0.0
+            continue
+        part = term(flows, with_grad=True)
+        components[name] = part.value
+        components["total"] += lam * part.value
+        for t, g in part.grad.items():
+            grads[t] = grads[t] + lam * g if t in grads else lam * g
 
     cell_grads = {}
     for t in fields:
-        g = tot.grad[t]
+        g = grads[t]
         cell_grads[t] = np.stack(
             [np.bincount(space.rows, weights=g[:, c], minlength=n_occ + 1)[:n_occ] for c in (0, 1)],
             axis=1,
         )
-    components = {"total": tot.value, "mc": mc.value, "pr": pr.value, "tc": tc.value}
     return components, cell_grads
 
 

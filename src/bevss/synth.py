@@ -152,10 +152,12 @@ def _flow_image(
     cam_next: CalibratedCamera,
     pos_t: np.ndarray,
     pos_next: np.ndarray,
-) -> tuple[FlowImage, np.ndarray, np.ndarray]:
+) -> tuple[FlowImage, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic flow by z-buffer splatting of the sampled surface points.
 
-    Returns (flow image, per-point pixel key or -1, per-point depth).
+    Returns (flow image, per-point pixel key or -1, per-point depth, the
+    owner of each owned pixel: its nearest point, the first one on a
+    depth tie).
     Empty pixels inherit the flow of the nearest owned pixel.
     """
     h, w_px = cam_t.height, cam_t.width
@@ -169,11 +171,9 @@ def _flow_image(
     data = np.zeros((h, w_px, 2), dtype=np.float32)
     owned = np.zeros(h * w_px, dtype=bool)
     idx = np.nonzero(ok)[0]
-    if idx.size:
-        order = idx[np.argsort(w_t[idx], kind="stable")]
-        k = key[order]
-        first = np.unique(k, return_index=True)[1]
-        owners = order[first]
+    order = idx[np.argsort(w_t[idx], kind="stable")]
+    owners = order[np.unique(key[order], return_index=True)[1]]
+    if owners.size:
         flow = (uv_n[owners] - uv_t[owners]).astype(np.float32)
         flat = data.reshape(-1, 2)
         flat[key[owners]] = flow
@@ -186,6 +186,7 @@ def _flow_image(
         FlowImage(camera_id=cam_t.camera_id, frame_index=cam_t.frame_index, dt=1, data=data),
         key,
         w_t,
+        owners,
     )
 
 
@@ -251,14 +252,14 @@ def generate(spec: SceneSpec) -> SceneBundle:
         pos_n = pos_at(t + 1)
         visible = np.zeros(len(pos_t), dtype=bool)
         for cam in spec.cameras:
-            img, key, depth = _flow_image(
+            img, key, depth, owners = _flow_image(
                 cameras[(cam.camera_id, t)], cameras[(cam.camera_id, t + 1)], pos_t, pos_n
             )
             if spec.flow_noise_px > 0:
                 noisy = img.data + rng.normal(0.0, spec.flow_noise_px, img.data.shape)
                 img = FlowImage(cam.camera_id, t, 1, noisy.astype(np.float32))
             flow_images[(cam.camera_id, t)] = img
-            visible |= _camera_visible(key, depth, inst, cam.height * cam.width)
+            visible |= _camera_visible(key, depth, owners, inst, cam.height * cam.width)
         visibility[t] = visible
 
     clouds = {}
@@ -291,22 +292,20 @@ def generate(spec: SceneSpec) -> SceneBundle:
     return bundle
 
 
-def _camera_visible(key: np.ndarray, depth: np.ndarray, inst: np.ndarray, n_px: int) -> np.ndarray:
-    """A point is visible unless another object's point owns its pixel closer."""
-    ok = key >= 0
-    visible = np.zeros(len(key), dtype=bool)
-    idx = np.nonzero(ok)[0]
-    if not idx.size:
-        return visible
-    order = idx[np.argsort(depth[idx], kind="stable")]
-    k = key[order]
-    first = np.unique(k, return_index=True)[1]
-    owners = order[first]
+def _camera_visible(
+    key: np.ndarray, depth: np.ndarray, owners: np.ndarray, inst: np.ndarray, n_px: int
+) -> np.ndarray:
+    """A point is visible unless another object's point owns its pixel closer.
+
+    key, depth and owners are those _flow_image returns.
+    """
+    idx = np.nonzero(key >= 0)[0]
     min_depth = np.full(n_px, np.inf)
     owner_inst = np.full(n_px, -2, dtype=np.int64)
     min_depth[key[owners]] = depth[owners]
     owner_inst[key[owners]] = inst[owners]
     occluded = (owner_inst[key[idx]] != inst[idx]) & (depth[idx] > min_depth[key[idx]] + 1e-9)
+    visible = np.zeros(len(key), dtype=bool)
     visible[idx] = ~occluded
     return visible
 
@@ -330,20 +329,16 @@ def ground_truth_field(bundle: SceneBundle, t: int) -> BevMotionField:
         combo = cell_key * n_actors + actors
         uniq, counts = np.unique(combo, return_counts=True)
         cells = uniq // n_actors
-        # Majority actor per cell: scan groups sorted by (cell, count).
+        # Majority actor per cell: the last group of each cell once the
+        # groups are sorted by (cell, count).
         order = np.lexsort((counts, cells))
         cells_o = cells[order]
-        winners = {}
-        mixed = 0
-        for i in range(len(order)):
-            c = int(cells_o[i])
-            if c in winners:
-                mixed += 1
-            winners[c] = int(uniq[order[i]] % n_actors)  # last = largest count
+        last = np.append(cells_o[1:] != cells_o[:-1], True)
+        mixed = len(order) - int(last.sum())
         if mixed:
             warnings.warn(f"{mixed} BEV cells contain points from multiple actors")
-        for c, a in winners.items():
-            values[c // spec.cells_y, c % spec.cells_y] = t * bundle.actor_velocities[a]
+        c, a = cells_o[last], uniq[order[last]] % n_actors
+        values[c // spec.cells_y, c % spec.cells_y] = t * bundle.actor_velocities[a]
     return BevMotionField(spec=spec, time_offset=t, values=values)
 
 

@@ -81,6 +81,14 @@ def test_loss_prints_all_components(workspace, capsys):
         assert key in out
 
 
+def test_loss_prints_zero_for_a_term_that_is_off(workspace, capsys):
+    argv = ["loss", "--scene", workspace["scene"], "--pred", workspace["pred"]]
+    assert cli.main(argv + ["--lambda-pr", "0", "--lambda-tc", "0"]) == 0
+    printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert printed["pr"] == "0" and printed["tc"] == "0"
+    assert printed["total"] == printed["mc"] and float(printed["mc"]) > 0.0
+
+
 def test_eval_prints_buckets_and_kv(workspace, capsys):
     rc = cli.main(["eval", "--scene", workspace["scene"], "--pred", workspace["pred"], "--kv"])
     assert rc == 0

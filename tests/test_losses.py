@@ -16,7 +16,6 @@ from bevss.losses import (
     smoothness,
     smoothness_neighbors,
     temporal_consistency,
-    total,
 )
 from bevss.masks import DYNAMIC, STATIC, UNKNOWN, StaticDynamicMask
 from bevss.pieces import RigidPieces
@@ -490,13 +489,17 @@ def test_multiplicity_validation(rng, bad):
             TemporalConsistency(FrameSet(), n, k)
 
 
-def test_total_combines_weighted_values_and_gradients():
-    from bevss.losses import LossValue
+def test_gradcheck_builds_each_term_once_per_instance(monkeypatch):
+    from bevss import gradcheck
 
-    mc = LossValue(1.0, grad={1: np.ones((2, 3))})
-    pr = LossValue(2.0, grad={1: np.full((2, 3), 2.0)})
-    tc = LossValue(4.0, grad=None)
-    w = LossWeights(lambda_mc=1.0, lambda_pr=0.5, lambda_tc=0.25)
-    out = total(mc, pr, tc, w)
-    assert out.value == pytest.approx(1.0 + 1.0 + 1.0)
-    np.testing.assert_allclose(out.grad[1], 1.0 + 0.5 * 2.0)
+    built = {}
+    for cls in (MaskedChamfer, Rigidity, TemporalConsistency):
+        init = cls.__init__
+
+        def counting_init(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    gradcheck.run_all(seed=0, instances=2)
+    assert built == {"MaskedChamfer": 2, "Rigidity": 2, "TemporalConsistency": 2}

@@ -6,15 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from bevss import optimizer
 from bevss.grid import BevGridSpec, FrameSet, PointFlowSet, cell_indices, gather_flows
 from bevss.losses import (
     LossValue,
     LossWeights,
+    MaskedChamfer,
     masked_chamfer,
     rigidity,
     temporal_consistency,
-    total,
 )
 from bevss.masks import DYNAMIC, StaticDynamicMask
 from bevss.optimizer import (
@@ -44,19 +43,21 @@ def _point_field_loss_and_gradients(bundle, fields, cfg):
             for t in (0, *offsets)
         }
     w = cfg.weights
-    mc = masked_chamfer(bundle.clouds, masks, flows, with_grad=True)
-    pr = rigidity(bundle.pieces, flows, with_grad=True) if w.lambda_pr > 0 else LossValue(0.0, {})
+    terms = [("mc", w.lambda_mc, masked_chamfer(bundle.clouds, masks, flows, with_grad=True))]
+    if w.lambda_pr > 0:
+        terms.append(("pr", w.lambda_pr, rigidity(bundle.pieces, flows, with_grad=True)))
     if w.lambda_tc > 0:
         tc = temporal_consistency(flows, cfg.frame_set, with_grad=True)
-    else:
-        tc = LossValue(0.0, {})
-    tot = total(mc, pr, tc, w)
+        terms.append(("tc", w.lambda_tc, tc))
+    components = {"total": sum(lam * part.value for _, lam, part in terms)}
+    components.update({"mc": 0.0, "pr": 0.0, "tc": 0.0})
+    components.update((name, part.value) for name, _, part in terms)
     cell_grads = {}
     for t in offsets:
+        grad = sum(lam * part.grad[t] for _, lam, part in terms)
         g = np.zeros_like(fields[t])
-        np.add.at(g, (idx[valid, 0], idx[valid, 1]), tot.grad[t][valid, :2])
+        np.add.at(g, (idx[valid, 0], idx[valid, 1]), grad[valid, :2])
         cell_grads[t] = g
-    components = {"total": tot.value, "mc": mc.value, "pr": pr.value, "tc": tc.value}
     return components, cell_grads
 
 
@@ -269,13 +270,14 @@ def test_optimize_non_finite_loss_raises_divergence(supervised, monkeypatch):
     # NaN compares false with any bound, so only an explicit finiteness
     # check can stop the descent.
     calls = []
+    evaluate = MaskedChamfer.__call__
 
-    def nan_on_third(mc, pr, tc, weights):
+    def nan_on_third(self, flows, with_grad=False, pairs=None):
         calls.append(None)
-        res = total(mc, pr, tc, weights)
+        res = evaluate(self, flows, with_grad, pairs)
         return LossValue(math.nan if len(calls) == 3 else res.value, res.grad)
 
-    monkeypatch.setattr(optimizer, "total", nan_on_third)
+    monkeypatch.setattr(MaskedChamfer, "__call__", nan_on_third)
     with pytest.raises(DivergenceError, match="not finite") as info:
         optimize(supervised, OptimConfig(max_iters=20))
     report = info.value.report

@@ -102,6 +102,66 @@ def test_ground_truth_field_majority_vote_warns(two_box):
         ground_truth_field(two_box, 1)  # presets keep actors in disjoint cells
 
 
+def _loop_ground_truth_field(bundle, t):
+    """Per-cell majority loop (the former ground_truth_field): the groups
+    sorted by (cell, count), the last group of a cell wins. Returns the
+    field values and the number of mixed-cell groups it warns about."""
+    inst = bundle.gt_instances[0]
+    spec = bundle.grid
+    idx, valid = cell_indices(bundle.clouds[0].points, spec)
+    values = np.zeros((spec.cells_x, spec.cells_y, 2))
+    sel = valid & (inst >= 0)
+    cell_key = idx[sel, 0].astype(np.int64) * spec.cells_y + idx[sel, 1]
+    n_actors = int(inst[sel].max()) + 1
+    uniq, counts = np.unique(cell_key * n_actors + inst[sel], return_counts=True)
+    cells = uniq // n_actors
+    order = np.lexsort((counts, cells))
+    winners = {}
+    mixed = 0
+    for i in order:
+        c = int(cells[i])
+        if c in winners:
+            mixed += 1
+        winners[c] = int(uniq[i] % n_actors)
+    for c, a in winners.items():
+        values[c // spec.cells_y, c % spec.cells_y] = t * bundle.actor_velocities[a]
+    return values, mixed
+
+
+def test_ground_truth_field_matches_loop_on_mixed_cells_and_ties():
+    from types import SimpleNamespace
+
+    from bevss.grid import BevGridSpec, PointCloud
+
+    rng = np.random.default_rng(3)
+    n = 300
+    points = np.zeros((n, 3))
+    points[:, :2] = rng.uniform(0.0, 1.0, size=(n, 2))  # 16 cells of 0.25 m
+    points[:5, 0] = 40.0  # out of the grid
+    inst = rng.integers(-1, 3, size=n).astype(np.int32)
+    # Exact ties: 2 + 2 points of actors 0 and 2, and 1 + 1 of actors 1 and 2.
+    tied = np.array([[5.1, 5.1, 0.0]] * 4 + [[6.1, 6.1, 0.0]] * 2)
+    points = np.concatenate([points, tied])
+    inst = np.concatenate([inst, np.array([0, 2, 2, 0, 1, 2], dtype=np.int32)])
+    bundle = SimpleNamespace(
+        grid=BevGridSpec(),
+        clouds={0: PointCloud(0, points)},
+        gt_instances={0: inst},
+        actor_velocities=np.array([[1.0, 0.5], [-2.0, 0.25], [0.125, 3.0]]),
+    )
+    for t in (-1, 1, 2):
+        ref, mixed = _loop_ground_truth_field(bundle, t)
+        assert mixed > 10
+        with pytest.warns(UserWarning, match=f"^{mixed} BEV cells"):
+            field = ground_truth_field(bundle, t)
+        np.testing.assert_array_equal(field.values, ref)
+    # A tie goes to the larger actor id, the last of the stable sort.
+    spec = bundle.grid
+    idx, _ = cell_indices(tied, spec)
+    assert (field.values[idx[0, 0], idx[0, 1]] == 2 * bundle.actor_velocities[2]).all()
+    assert (field.values[idx[4, 0], idx[4, 1]] == 2 * bundle.actor_velocities[2]).all()
+
+
 def test_actor_leaving_grid_raises():
     spec = preset("one-box", seed=0)
     runaway = SceneSpec(
