@@ -39,17 +39,40 @@ def _add_lambda_args(p):
     p.add_argument("--lambda-tc", type=float, default=0.4)
 
 
+# Label options by the MaskThresholds or PieceParams field they set.
+_MASK_OPTS = {"--tau2d": "tau_2d", "--tau3d": "tau_3d", "--ground-z": "ground_z"}
+_PIECE_OPTS = {"--delta-d": "delta_d"}
+
+
 def _supervision(bundle, args):
-    thr = MaskThresholds(tau_2d=args.tau2d, tau_3d=args.tau3d, ground_z=args.ground_z)
-    params = PieceParams(delta_d=args.delta_d)
-    return prepare_supervision(bundle, thr, params)
+    thr = _label_options(args, _MASK_OPTS, bool(bundle.pseudo_masks))
+    params = _label_options(args, _PIECE_OPTS, bundle.pieces is not None)
+    return prepare_supervision(bundle, MaskThresholds(**thr), PieceParams(**params))
+
+
+def _label_options(args, opts, stored: bool) -> dict:
+    """The options of `opts` given on the command line, keyed by field.
+
+    Stored labels are used as they are, so an option that would only
+    change them is an error instead of being silently ignored.
+    """
+    given = {}
+    for flag, field in opts.items():
+        value = getattr(args, field)
+        if value is None:
+            continue
+        if stored:
+            raise ValueError(
+                f"{flag} has no effect on a scene that already has labels; "
+                f"pass it to `bevss labels` instead"
+            )
+        given[field] = value
+    return given
 
 
 def _add_label_args(p):
-    p.add_argument("--tau2d", type=float, default=5.0)
-    p.add_argument("--tau3d", type=float, default=1.0)
-    p.add_argument("--ground-z", type=float, default=-1.4, dest="ground_z")
-    p.add_argument("--delta-d", type=float, default=0.5, dest="delta_d")
+    for flag, field in {**_MASK_OPTS, **_PIECE_OPTS}.items():
+        p.add_argument(flag, type=float, default=None, dest=field)
 
 
 def cmd_synth(args) -> int:

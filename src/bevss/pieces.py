@@ -28,8 +28,16 @@ class PieceParams:
     def __post_init__(self):
         if self.superpixel_count < 1:
             raise ValueError("superpixel_count must be >= 1")
-        if self.delta_d <= 0:
+        if self.slic_iters < 0:
+            raise ValueError("slic_iters must be >= 0")
+        for name in ("compactness", "flow_gain"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not self.delta_d > 0:
             raise ValueError("delta_d must be positive")
+        if self.min_piece_points < 1:
+            raise ValueError("min_piece_points must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,12 +83,6 @@ def _grid_shape(h: int, w: int, k: int) -> tuple[int, int]:
     return ny, nx
 
 
-# Centers whose search windows one array operation evaluates together. It
-# bounds the assignment's temporaries to _SLIC_BLOCK * (2*ceil(2S)+1)^2
-# elements; the labels do not depend on it.
-_SLIC_BLOCK = 8
-
-
 def oversegment(flow_img: FlowImage, params: PieceParams) -> Segmentation2D:
     """SLIC-style clustering of the flow image in (u, v, g*du, g*dv) space.
 
@@ -106,17 +108,7 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
     s = max(1.0, np.sqrt(h * w / (ny * nx)))
     inv_s2 = (params.compactness / s) ** 2
     half = int(np.ceil(2 * s))
-    win = 2 * half + 1
-    wp = w + 2 * half
-
-    # Each channel is padded by the search radius with inf, so every window
-    # has the same shape and starts at the truncated center in padded
-    # coordinates. A padded pixel's distance is inf and never passes `<`.
-    pads = [
-        np.pad(data[..., ch].astype(np.float64) * params.flow_gain, half, constant_values=np.inf)
-        for ch in range(2)
-    ]
-    flat = [p.ravel() for p in pads]
+    f0, f1 = (data[..., ch].astype(np.float64) * params.flow_gain for ch in range(2))
 
     cy = (np.arange(ny) + 0.5) * h / ny
     cx = (np.arange(nx) + 0.5) * w / nx
@@ -124,42 +116,32 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
     n_c = centers_yx.shape[0]
     ci = np.clip(np.rint(centers_yx[:, 0]).astype(int), 0, h - 1)
     cj = np.clip(np.rint(centers_yx[:, 1]).astype(int), 0, w - 1)
-    centers_f = np.stack([p[ci + half, cj + half] for p in pads], axis=1)
+    centers_f = np.stack([f0[ci, cj], f1[ci, cj]], axis=1)
 
-    offs = np.arange(win)
+    ys = np.arange(h, dtype=np.float64)
+    xs = np.arange(w, dtype=np.float64)
     labels = np.zeros((h, w), dtype=np.int32)
-    best = np.empty(pads[0].size)
-    labels_p = np.empty(pads[0].size, dtype=np.int32)
-
+    best = np.empty((h, w))
     for _ in range(params.slic_iters):
         best.fill(np.inf)
-        labels_p.fill(-1)
-        # Equivalent to visiting the centers in ascending order and taking a
-        # pixel on a strictly smaller distance: a block keeps only the
-        # distances below the best so far, scatter-mins them, and the lowest
-        # center index reaching the new best takes each improved pixel.
-        for c0 in range(0, n_c, _SLIC_BLOCK):
-            cyx = centers_yx[c0 : c0 + _SLIC_BLOCK]
-            cf = centers_f[c0 : c0 + _SLIC_BLOCK]
-            r = cyx[:, 0].astype(np.intp)[:, None] + offs  # (B, win) padded rows
-            q = cyx[:, 1].astype(np.intp)[:, None] + offs
-            idx = (r * wp)[:, :, None] + q[:, None, :]
-            dy = (r - half) - cyx[:, :1]
-            dx = (q - half) - cyx[:, 1:]
-            d0 = flat[0][idx] - cf[:, 0, None, None]
-            d1 = flat[1][idx] - cf[:, 1, None, None]
+        labels.fill(-1)
+        # Centers in ascending order, each over its window clipped at the
+        # border; a pixel moves only on a strictly smaller distance, so ties go
+        # to the lowest center index.
+        for c, ((yc, xc), (fc0, fc1)) in enumerate(zip(centers_yx.tolist(), centers_f.tolist())):
+            rows = slice(max(int(yc) - half, 0), int(yc) + half + 1)
+            cols = slice(max(int(xc) - half, 0), int(xc) + half + 1)
+            dy = ys[rows] - yc
+            dx = xs[cols] - xc
+            d0 = f0[rows, cols] - fc0
+            d1 = f1[rows, cols] - fc1
             # Keep this expression and operand order: the labels must match the
             # per-center reference loop in tests/test_pieces.py bit for bit.
-            dist = (d0 * d0 + d1 * d1) + inv_s2 * ((dy * dy)[:, :, None] + (dx * dx)[:, None, :])
-            pos = np.flatnonzero(dist < best[idx])
-            idx = idx.ravel()[pos]
-            dist = dist.ravel()[pos]
-            np.minimum.at(best, idx, dist)
-            won = dist == best[idx]
-            idx = idx[won]
-            labels_p[idx] = n_c
-            np.minimum.at(labels_p, idx, (pos[won] // (win * win) + c0).astype(np.int32))
-        labels = labels_p.reshape(-1, wp)[half:-half, half:-half].copy()
+            dist = (d0 * d0 + d1 * d1) + inv_s2 * ((dy * dy)[:, None] + dx * dx)
+            win = best[rows, cols]
+            closer = dist < win
+            np.copyto(win, dist, where=closer)
+            np.copyto(labels[rows, cols], c, where=closer)
         # Orphans outside every window: nearest center by spatial distance.
         orphan = labels < 0
         if np.any(orphan):
@@ -178,10 +160,10 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
         def mean(weights):
             return np.bincount(lab, weights, n_c)[has] / counts[has]
 
-        centers_yx[has, 0] = mean(np.repeat(np.arange(h, dtype=np.float64), w))
-        centers_yx[has, 1] = mean(np.tile(np.arange(w, dtype=np.float64), h))
-        centers_f[has, 0] = mean(pads[0][half:-half, half:-half].ravel())
-        centers_f[has, 1] = mean(pads[1][half:-half, half:-half].ravel())
+        centers_yx[has, 0] = mean(np.repeat(ys, w))
+        centers_yx[has, 1] = mean(np.tile(xs, h))
+        centers_f[has, 0] = mean(f0.ravel())
+        centers_f[has, 1] = mean(f1.ravel())
     return labels
 
 

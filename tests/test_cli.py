@@ -89,6 +89,31 @@ def test_loss_prints_zero_for_a_term_that_is_off(workspace, capsys):
     assert printed["total"] == printed["mc"] and float(printed["mc"]) > 0.0
 
 
+@pytest.mark.parametrize("command", ["optimize", "loss"])
+@pytest.mark.parametrize("flag", ["--tau2d", "--tau3d", "--ground-z", "--delta-d"])
+def test_label_option_on_a_labeled_scene_is_an_error(workspace, tmp_path, capsys, command, flag):
+    # The stored masks and pieces would be used as they are, so the option
+    # could not take effect.
+    target = ["--out", str(tmp_path / "p")] if command == "optimize" else ["--pred", workspace["pred"]]
+    argv = [command, "--scene", workspace["scene"], *target, flag, "0.01"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "bevss labels" in err
+    assert not os.path.exists(tmp_path / "p")
+
+
+def test_label_option_on_an_unlabeled_scene_sets_the_labels(workspace, tmp_path, capsys):
+    scene = str(tmp_path / "unlabeled")
+    assert cli.main(["synth", "--preset", "one-box", "--seed", "0", "--out", scene]) == 0
+    argv = ["loss", "--scene", scene, "--pred", workspace["pred"]]
+    totals = []
+    for extra in ([], ["--tau2d", "0.01"]):
+        capsys.readouterr()
+        assert cli.main(argv + extra) == 0
+        totals.append(dict(line.split(": ") for line in capsys.readouterr().out.splitlines())["total"])
+    assert totals[0] != totals[1]
+
+
 def test_eval_prints_buckets_and_kv(workspace, capsys):
     rc = cli.main(["eval", "--scene", workspace["scene"], "--pred", workspace["pred"], "--kv"])
     assert rc == 0

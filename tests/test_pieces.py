@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from bevss import synth
 from bevss.grid import BevGridSpec, PointCloud, cell_indices
 from bevss.pieces import (
     PieceParams,
@@ -26,6 +27,33 @@ def test_params_validation():
         PieceParams(superpixel_count=0)
     with pytest.raises(ValueError):
         PieceParams(delta_d=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delta_d", float("nan")),
+        ("slic_iters", -3),
+        ("compactness", float("nan")),
+        ("compactness", -5.0),
+        ("compactness", float("inf")),
+        ("flow_gain", float("inf")),
+        ("flow_gain", float("nan")),
+        ("flow_gain", -1.0),
+        ("min_piece_points", 0),
+    ],
+)
+def test_params_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        PieceParams(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("slic_iters", 0), ("compactness", 0.0), ("flow_gain", 0.0), ("min_piece_points", 1)],
+)
+def test_params_accept_boundary_values(field, value):
+    assert getattr(PieceParams(**{field: value}), field) == value
 
 
 def test_rigid_pieces_validation():
@@ -72,6 +100,11 @@ def test_oversegment_rejects_too_many_superpixels():
 
 
 def _loop_oversegment(data: np.ndarray, params: PieceParams) -> np.ndarray:
+    """Reference SLIC followed by the reference connectivity pass."""
+    return _loop_enforce_connectivity(_loop_slic_labels(data, params))
+
+
+def _loop_slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
     """Reference SLIC: one window update per center, in ascending order."""
     h, w = data.shape[:2]
     k = params.superpixel_count
@@ -120,8 +153,7 @@ def _loop_oversegment(data: np.ndarray, params: PieceParams) -> np.ndarray:
                 centers_yx[c, 0] = yy[m].mean()
                 centers_yx[c, 1] = xx[m].mean()
                 centers_f[c] = flow[m].reshape(-1, 2).mean(axis=0)
-
-    return _loop_enforce_connectivity(labels)
+    return labels
 
 
 def _loop_enforce_connectivity(labels: np.ndarray) -> np.ndarray:
@@ -187,6 +219,33 @@ def test_oversegment_matches_loop_oracle_on_scene_flow(one_box):
     params = PieceParams(superpixel_count=80)
     seg = oversegment(FlowImage(0, 0, 1, data), params)
     np.testing.assert_array_equal(seg.labels, _loop_oversegment(data, params))
+
+
+def _full_camera(bundle) -> FlowImage:
+    # Default params on a whole 240x480 image: 14x29 = 406 centers and
+    # 69x69 windows.
+    flow = bundle.frame_flows(0)[0]
+    assert flow.data.shape[:2] == (240, 480)
+    assert _grid_shape(240, 480, PieceParams().superpixel_count) == (14, 29)
+    return flow
+
+
+def test_oversegment_matches_loop_oracle_on_a_full_camera(one_box):
+    flow = _full_camera(one_box)
+    seg = oversegment(flow, PieceParams())
+    np.testing.assert_array_equal(seg.labels, _loop_oversegment(flow.data, PieceParams()))
+
+
+def test_slic_labels_match_loop_oracle_on_a_full_noisy_camera():
+    # Noise makes the flow term dominate near every pixel. The reference
+    # connectivity pass would take 40-54 s on this image (~19,000 fragments,
+    # each with a full-image dilation), so this compares the labels before
+    # it; test_enforce_connectivity_matches_loop_oracle_on_noisy_flow covers
+    # that pass on noisy flow.
+    flow = _full_camera(synth.generate(synth.preset("night-noise", seed=0)))
+    np.testing.assert_array_equal(
+        _slic_labels(flow.data, PieceParams()), _loop_slic_labels(flow.data, PieceParams())
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
