@@ -34,9 +34,10 @@ def _weights(args) -> LossWeights:
 
 
 def _add_lambda_args(p):
-    p.add_argument("--lambda-mc", type=float, default=1.0)
-    p.add_argument("--lambda-pr", type=float, default=0.1)
-    p.add_argument("--lambda-tc", type=float, default=0.4)
+    w = LossWeights()
+    p.add_argument("--lambda-mc", type=float, default=w.lambda_mc)
+    p.add_argument("--lambda-pr", type=float, default=w.lambda_pr)
+    p.add_argument("--lambda-tc", type=float, default=w.lambda_tc)
 
 
 # Label options by the MaskThresholds or PieceParams field they set.
@@ -240,6 +241,9 @@ def cmd_render(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bevss")
+    parser.add_argument(
+        "--debug", action="store_true", help="on an error, show the full traceback"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
@@ -263,12 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("optimize", help="fit BEV fields by gradient descent")
+    defaults = OptimConfig()
     _add_scene_arg(p)
     _add_label_args(p)
     _add_lambda_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--iters", type=int, default=defaults.max_iters)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
     p.add_argument("--frames", default=None)
     p.add_argument("--no-mask", action="store_true", help="plain Chamfer on full clouds")
     p.set_defaults(func=cmd_optimize)
@@ -301,6 +306,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # argparse handles usage errors with code 2
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,13 +52,22 @@ class LossWeights:
 
 
 def _multiplicity(multiplicity, n: int) -> np.ndarray:
-    """(n, 1) checked multiplicities from an (n,) array or a scalar."""
+    """(n,) checked multiplicities from an (n,) array or a scalar."""
     m = np.asarray(multiplicity, dtype=np.float64)
     if m.shape not in ((), (n,)):
         raise ValueError(f"multiplicity shape {m.shape} != ({n},)")
     if not (np.isfinite(m) & (m > 0)).all():
         raise ValueError("multiplicities must be positive and finite")
-    return np.full(n, m)[:, None]
+    return np.full(n, m)
+
+
+def _wide(x: np.ndarray) -> np.ndarray:
+    """(n, 3) array with each entry of the (n,) array x repeated along its row.
+
+    Per-row weights are kept at the width of the flows they multiply: a
+    same-shape product is exact like a broadcast (n, 1) one, and faster.
+    """
+    return np.repeat(x[:, None], 3, axis=1)
 
 
 def chamfer_pairs(a: np.ndarray, b: np.ndarray):
@@ -196,8 +205,16 @@ class MaskedChamfer:
         m = _multiplicity(multiplicity, self.n0)
         if np.any(m[self.dyn_idx] != 1.0):
             raise ValueError("pseudo-dynamic points must have multiplicity 1")
-        self.m_stat = np.take(m, self.stat_idx, axis=0)
-        self.n_stat = float(self.m_stat.sum())
+        m_stat = m[self.stat_idx]
+        self.n_stat = float(m_stat.sum())
+        self.m_stat = _wide(m_stat)
+        # The static gradient of a row is sign(f) m / n_stat / n_off, taken
+        # densely as sign(f) times this weight, which is 0 on dynamic rows.
+        # sign(f) is -1, 0 or 1 and rounding is symmetric, so the product is
+        # exact. Without static rows (n_stat 0) the weight is 0 everywhere.
+        self.g_stat = np.zeros((self.n0, 3))
+        if self.stat_idx.size:
+            self.g_stat[self.stat_idx] = self.m_stat / self.n_stat / len(self.offsets)
         self.dyn_points = cloud0.points[self.dyn_idx]
         # One target cloud and pair state per offset whose Chamfer term is on.
         self.targets, self.nn = {}, {}
@@ -224,10 +241,9 @@ class MaskedChamfer:
             f = flows[t].flows
             if len(f) != self.n0:
                 raise ValueError("flow length differs from frame 0 cloud")
-            fs = np.take(f, self.stat_idx, axis=0)
             if with_grad:
-                g = np.zeros((self.n0, 3))
-                g[self.stat_idx] = self.m_stat * np.sign(fs) / self.n_stat
+                g = np.sign(f)
+                g *= self.g_stat
 
             if t in self.targets:
                 warped = self._warped(flows, t)
@@ -235,12 +251,15 @@ class MaskedChamfer:
                 cd, cd_grad = _chamfer(warped, self.targets[t].points, nn, "a" if with_grad else "")
                 value += cd
                 if with_grad:
-                    g[self.dyn_idx] += cd_grad["a"]
+                    g[self.dyn_idx] = cd_grad["a"] / n_off
+            elif with_grad:
+                g[self.dyn_idx] = 0.0  # sign(f) * 0 may be -0.0 or NaN there
 
             if self.stat_idx.size:
-                value += float((self.m_stat * np.abs(fs)).sum()) / self.n_stat
+                fs = np.abs(np.take(f, self.stat_idx, axis=0))
+                fs *= self.m_stat
+                value += float(fs.sum()) / self.n_stat
             if with_grad:
-                g /= n_off
                 grads[t] = g
 
         value /= n_off
@@ -261,11 +280,11 @@ class Rigidity:
         self.n_r = pieces.piece_count
         self.valid = np.flatnonzero(labels >= 0)
         self.lab = labels[self.valid]
-        self.m = np.take(_multiplicity(multiplicity, len(labels)), self.valid, axis=0)
-        self.counts = np.bincount(self.lab, weights=self.m[:, 0], minlength=self.n_r)
-        self.lab_counts = self.counts[self.lab, None]
+        m = _multiplicity(multiplicity, len(labels))[self.valid]
+        counts = np.bincount(self.lab, weights=m, minlength=self.n_r)
         # Per-point weight m/(N_r |R_j|), with |R_j| counted in copies.
-        self.w = (1.0 / (self.n_r * self.counts[self.lab]) * self.m[:, 0])[:, None]
+        w = 1.0 / (self.n_r * counts[self.lab]) * m
+        self.m, self.counts, self.w = _wide(m), _wide(counts), _wide(w)
         # Piece-and-coordinate bin of each entry of a row-major (V, 3) array.
         self.bins = (3 * self.lab[:, None] + np.arange(3)).ravel()
 
@@ -279,15 +298,18 @@ class Rigidity:
         grads: dict[int, np.ndarray] = {}
         for t, fl in sorted(flows.items()):
             f = np.take(fl.flows, self.valid, axis=0)
-            means = self._piece_sums(self.m * f) / self.counts[:, None]
+            means = self._piece_sums(self.m * f) / self.counts
             dev = f - np.take(means, self.lab, axis=0)
             value += float((self.w * np.abs(dev)).sum())
             if with_grad:
                 s = np.sign(dev)
-                piece_s = np.take(self._piece_sums(self.m * s), self.lab, axis=0)
+                # Dividing the piece sums before taking them per point gives
+                # the same quotients, computed once per piece.
+                s -= np.take(self._piece_sums(self.m * s) / self.counts, self.lab, axis=0)
+                s *= self.w
+                s /= len(flows)
                 g = np.zeros((len(fl), 3))
-                g[self.valid] = self.w * (s - piece_s / self.lab_counts)
-                g /= len(flows)
+                g[self.valid] = s
                 grads[t] = g
 
         value /= len(flows)
@@ -309,24 +331,33 @@ class TemporalConsistency:
         self.offsets = tuple(sorted(frame_set.offsets))
         if len(self.offsets) < 2:
             raise ValueError("temporal consistency needs at least two offsets")
-        self.m = _multiplicity(multiplicity, n)
-        self.n = float(self.m.sum())
+        m = _multiplicity(multiplicity, n)
+        self.n = float(m.sum())
+        self.m = _wide(m)
 
     def __call__(self, flows: dict, with_grad: bool = False) -> LossValue:
         if flows.keys() != set(self.offsets):
             raise ValueError(f"flow offsets {sorted(flows)} != frame set {list(self.offsets)}")
         n_t = len(self.offsets)
-        vel = np.stack([flows[t].flows / t for t in self.offsets])  # (T, N, 3)
-        vbar = vel.mean(axis=0)
-        x = vbar[None] - vel
-        value = float((self.m * np.abs(x)).sum()) / (self.n * n_t)
+        x = np.empty((n_t, *flows[self.offsets[0]].flows.shape))  # (T, N, 3)
+        for k, t in enumerate(self.offsets):
+            np.divide(flows[t].flows, t, out=x[k])  # velocities
+        np.subtract(x.mean(axis=0), x, out=x)  # deviations of the mean from each
+        a = np.abs(x)
+        a *= self.m
+        norm = self.n * n_t
+        value = float(a.sum()) / norm
         if not with_grad:
             return LossValue(value)
-        s = np.sign(x)
+        s = np.sign(x, out=x)
         s_sum = s.sum(axis=0)  # (N, 3)
         grads = {}
         for k, t in enumerate(self.offsets):
-            grads[t] = self.m * ((s_sum / (n_t * t) - s[k] / t) / (self.n * n_t))
+            g = s_sum / (n_t * t)
+            g -= np.divide(s[k], t, out=s[k])
+            g /= norm
+            g *= self.m
+            grads[t] = g
         return LossValue(value, grad=grads)
 
 

@@ -95,8 +95,9 @@ class CellSpace:
 
     spec: BevGridSpec
     cells: tuple  # (ix, iy) arrays of the n_occupied cells
-    counts: np.ndarray  # (n_occupied, 1) frame-0 points per cell
+    counts: np.ndarray  # (n_occupied, 2) frame-0 points per cell, per flow component
     rows: np.ndarray  # (U,) padded-field row of each unit
+    flat: np.ndarray  # (U, 3) index of each unit's flow in [field.ravel(), 0.0]
     weights: LossWeights
     mc: MaskedChamfer
     pr: Rigidity | None
@@ -163,11 +164,17 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         target = bundle.clouds[t].points[dynamic(t)]
         clouds[t] = PointCloud(t, target)
         masks[t] = StaticDynamicMask(t, np.full(len(target), DYNAMIC, dtype=np.uint8))
+    rows = row[members]
+    # The planar flow of a unit in a cell is that cell's field row; the
+    # vertical flow, and every component out of the grid, reads the 0.0.
+    flat = np.where(rows[:, None] < n_occ, 2 * rows[:, None] + np.arange(3), 2 * n_occ)
+    flat[:, 2] = 2 * n_occ
     return CellSpace(
         spec=spec,
         cells=(keys // spec.cells_y, keys % spec.cells_y),
-        counts=counts.astype(np.float64)[:, None],
-        rows=row[members],
+        counts=np.repeat(counts.astype(np.float64)[:, None], 2, axis=1),
+        rows=rows,
+        flat=flat,
         weights=w,
         mc=MaskedChamfer(clouds, masks, offsets, m),
         pr=Rigidity(RigidPieces(0, labels[members], n_r), m) if use_pieces else None,
@@ -184,11 +191,7 @@ def field_loss_and_gradients(space: CellSpace, fields: dict):
     weighted sum of the terms that are on; a term that is off reads 0.
     """
     n_occ = space.counts.shape[0]
-    flows = {}
-    for t, f in fields.items():
-        padded = np.zeros((n_occ + 1, 3))
-        padded[:n_occ, :2] = f
-        flows[t] = PointFlowSet(time_offset=t, flows=np.take(padded, space.rows, axis=0))
+    flows = {t: PointFlowSet(t, np.take(np.append(f, 0.0), space.flat)) for t, f in fields.items()}
 
     w = space.weights
     components = {"total": 0.0}
@@ -204,8 +207,12 @@ def field_loss_and_gradients(space: CellSpace, fields: dict):
         part = term(flows, with_grad=True)
         components[name] = part.value
         components["total"] += lam * part.value
-        for t, g in part.grad.items():
-            grads[t] = grads[t] + lam * g if t in grads else lam * g
+        for t, g in part.grad.items():  # each term hands back fresh arrays
+            g *= lam
+            if t in grads:
+                grads[t] += g
+            else:
+                grads[t] = g
 
     cell_grads = {}
     for t in fields:
@@ -265,8 +272,10 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
             if abs(past - loss) <= cfg.convergence_tol * max(abs(past), 1e-12):
                 stop_reason = "tol"
                 break
-        for t in fields:
-            fields[t] -= lr * cell_grads[t] / space.counts
+        for t, g in cell_grads.items():
+            g *= lr
+            g /= space.counts
+            fields[t] -= g
     if stop_reason == "max_iters":  # the last update follows the last entry
         components, _ = field_loss_and_gradients(space, fields)
 

@@ -7,6 +7,8 @@ import pytest
 
 from bevss import cli, fileio
 from bevss.grid import BevGridSpec
+from bevss.losses import LossWeights
+from bevss.optimizer import OptimConfig
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +178,22 @@ def test_usage_errors_exit_with_code_2():
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+
+
+def test_debug_shows_the_traceback_instead_of_the_error_line(capsys):
+    argv = ["labels", "--scene", "/nonexistent"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(fileio.NotFoundError):
+        cli.main(["--debug", *argv])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command,output", [("loss", "--pred"), ("optimize", "--out")])
+def test_parser_defaults_are_the_config_defaults(command, output):
+    args = cli.build_parser().parse_args([command, "--scene", "s", output, "o"])
+    assert cli._weights(args) == LossWeights()
+    if command == "optimize":
+        cfg = OptimConfig()
+        assert (args.iters, args.lr) == (cfg.max_iters, cfg.learning_rate)
+        assert not args.no_mask and cfg.use_mask
