@@ -1,13 +1,6 @@
 """Self-supervised BEV motion fields from LiDAR point clouds and optical flow."""
 
-from .grid import (
-    BevGridSpec,
-    BevMotionField,
-    FrameSet,
-    PointCloud,
-    PointFlowSet,
-    field_to_point_flows,
-)
+from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, PointFlowSet
 from .losses import LossValue, LossWeights
 from .masks import MaskThresholds, StaticDynamicMask
 from .pieces import PieceParams, RigidPieces
@@ -27,7 +20,6 @@ __all__ = [
     "PointFlowSet",
     "RigidPieces",
     "StaticDynamicMask",
-    "field_to_point_flows",
 ]
 
 __version__ = "0.1.0"

@@ -304,7 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        if args.debug:
+            raise
+        # Send the unwritten rest to devnull, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:  # argparse handles usage errors with code 2
         if args.debug:
             raise

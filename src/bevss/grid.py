@@ -144,20 +144,7 @@ def cell_indices(points: np.ndarray, spec: BevGridSpec):
     return np.stack([ix, iy], axis=1), valid
 
 
-def gather_flows(values: np.ndarray, idx: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """(N,3) point flows from a (cells_x, cells_y, 2) values array.
-
-    idx/valid come from cell_indices. Each valid point takes the planar
-    motion of its cell with zero vertical; the others get (0,0,0) so that
-    point order stays aligned with masks and labels.
-    """
-    flows = np.zeros((idx.shape[0], 3), dtype=np.float64)
-    flows[valid, :2] = values[idx[valid, 0], idx[valid, 1]]
-    return flows
-
-
-def field_to_point_flows(field: BevMotionField, cloud: PointCloud) -> PointFlowSet:
-    """Assign each point the planar motion of its BEV cell (zero vertical)."""
-    idx, valid = cell_indices(cloud.points, field.spec)
-    return PointFlowSet(time_offset=field.time_offset, flows=gather_flows(field.values, idx, valid))
-
+def cell_keys(points: np.ndarray, spec: BevGridSpec):
+    """cell_indices as (N,) flat keys ix * cells_y + iy, which np.unravel_index inverts."""
+    idx, valid = cell_indices(points, spec)
+    return np.ravel_multi_index(idx.T, (spec.cells_x, spec.cells_y)), valid

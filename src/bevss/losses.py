@@ -11,8 +11,7 @@ The three supervision signals are split into a setup step and an
 evaluate step. MaskedChamfer, Rigidity and TemporalConsistency check
 their fixed inputs and precompute index sets, weights and target trees
 once; calling a term evaluates the one formula of its loss on a flow set.
-masked_chamfer, rigidity and temporal_consistency set a term up and
-evaluate it once.
+rigidity and temporal_consistency set a term up and evaluate it once.
 
 A term may weight its points by multiplicities: a point with
 multiplicity k counts as k copies of itself, and its gradient is the sum
@@ -28,7 +27,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .grid import FrameSet, PointCloud, PointFlowSet
-from .masks import DYNAMIC, StaticDynamicMask
+from .masks import DYNAMIC
 from .pieces import RigidPieces
 
 
@@ -216,20 +215,20 @@ class MaskedChamfer:
         if self.stat_idx.size:
             self.g_stat[self.stat_idx] = self.m_stat / self.n_stat / len(self.offsets)
         self.dyn_points = cloud0.points[self.dyn_idx]
-        # One target cloud and pair state per offset whose Chamfer term is on.
-        self.targets, self.nn = {}, {}
+        # One pair state per offset whose Chamfer term is on; it holds the
+        # dynamic target points of that offset.
+        self.nn = {}
         for t in self.offsets:
             target = clouds[t].points[masks[t].status == DYNAMIC]
             if self.dyn_idx.size and len(target):
-                self.targets[t] = PointCloud(t, target)
-                self.nn[t] = _CertifiedPairs(self.dyn_points, self.targets[t].points)
+                self.nn[t] = _CertifiedPairs(self.dyn_points, target)
 
     def _warped(self, flows: dict, t: int) -> np.ndarray:
         return self.dyn_points + flows[t].flows[self.dyn_idx]
 
     def pairs(self, flows: dict) -> dict:
         """Chamfer correspondences at flows, to hold fixed in later calls."""
-        return {t: self.nn[t](self._warped(flows, t)) for t in self.targets}
+        return {t: nn(self._warped(flows, t)) for t, nn in self.nn.items()}
 
     def __call__(self, flows: dict, with_grad: bool = False, pairs: dict | None = None):
         if flows.keys() != set(self.offsets):
@@ -245,10 +244,10 @@ class MaskedChamfer:
                 g = np.sign(f)
                 g *= self.g_stat
 
-            if t in self.targets:
+            if t in self.nn:
                 warped = self._warped(flows, t)
                 nn = self.nn[t](warped) if pairs is None else pairs[t]
-                cd, cd_grad = _chamfer(warped, self.targets[t].points, nn, "a" if with_grad else "")
+                cd, cd_grad = _chamfer(warped, self.nn[t].b, nn, "a" if with_grad else "")
                 value += cd
                 if with_grad:
                     g[self.dyn_idx] = cd_grad["a"] / n_off
@@ -359,16 +358,6 @@ class TemporalConsistency:
             g *= self.m
             grads[t] = g
         return LossValue(value, grad=grads)
-
-
-def masked_chamfer(
-    clouds: dict[int, PointCloud],
-    masks: dict[int, StaticDynamicMask],
-    flows: dict[int, PointFlowSet],
-    with_grad: bool = False,
-) -> LossValue:
-    """MaskedChamfer over the offsets of flows, evaluated once."""
-    return MaskedChamfer(clouds, masks, flows)(flows, with_grad)
 
 
 def rigidity(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, PointFlowSet, cell_indices
+from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, PointFlowSet, cell_keys
 from .losses import LossWeights, MaskedChamfer, Rigidity, TemporalConsistency
 from .masks import DYNAMIC, STATIC, MaskThresholds, StaticDynamicMask, build_mask
 from .pieces import PieceParams, RigidPieces, build_pieces
@@ -116,28 +116,24 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         if t not in bundle.clouds:
             raise ValueError(f"missing point cloud for offset {t}")
     if cfg.use_mask:
+        masks = bundle.pseudo_masks
         for t in (0, *offsets):
-            if t not in bundle.pseudo_masks:
+            if t not in masks:
                 raise ValueError(f"missing pseudo mask for frame {t}")
-            if len(bundle.pseudo_masks[t]) != len(bundle.clouds[t]):
+            if len(masks[t]) != len(bundle.clouds[t]):
                 raise ValueError(f"cloud and mask lengths differ at frame {t}")
+    else:  # plain Chamfer: every point of every frame is dynamic
+        masks = {t: StaticDynamicMask(t, np.full(len(bundle.clouds[t]), DYNAMIC, np.uint8)) for t in (0, *offsets)}
     w = cfg.weights
     use_pieces = w.lambda_pr > 0
     if use_pieces and bundle.pieces is None:
         raise ValueError("missing rigid pieces")
 
-    def dynamic(t):
-        if cfg.use_mask:
-            return bundle.pseudo_masks[t].status == DYNAMIC
-        return np.ones(len(bundle.clouds[t]), dtype=bool)
-
     spec = bundle.grid
     points0 = bundle.clouds[0].points
     n0 = len(points0)
-    idx, valid = cell_indices(points0, spec)
-    keys, inverse, counts = np.unique(
-        idx[valid, 0] * spec.cells_y + idx[valid, 1], return_inverse=True, return_counts=True
-    )
+    key, valid = cell_keys(points0, spec)
+    keys, inverse, counts = np.unique(key[valid], return_inverse=True, return_counts=True)
     n_occ = keys.size
     row = np.full(n0, n_occ, dtype=np.intp)
     row[valid] = inverse
@@ -148,7 +144,7 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         labels, n_r = bundle.pieces.labels, bundle.pieces.piece_count
     else:
         labels, n_r = np.full(n0, -1, dtype=np.int32), 0
-    dyn0 = dynamic(0)
+    dyn0 = masks[0].status == DYNAMIC
     dyn, rest = np.flatnonzero(dyn0), np.flatnonzero(~dyn0)
     _, first, size = np.unique(
         row[rest] * (n_r + 1) + (labels[rest] + 1), return_index=True, return_counts=True
@@ -158,12 +154,8 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
     status = np.full(members.size, STATIC, dtype=np.uint8)
     status[: dyn.size] = DYNAMIC
 
-    clouds = {0: PointCloud(0, points0[members])}
-    masks = {0: StaticDynamicMask(0, status)}
-    for t in offsets:
-        target = bundle.clouds[t].points[dynamic(t)]
-        clouds[t] = PointCloud(t, target)
-        masks[t] = StaticDynamicMask(t, np.full(len(target), DYNAMIC, dtype=np.uint8))
+    clouds = {**bundle.clouds, 0: PointCloud(0, points0[members])}
+    masks = {**masks, 0: StaticDynamicMask(0, status)}
     rows = row[members]
     # The planar flow of a unit in a cell is that cell's field row; the
     # vertical flow, and every component out of the grid, reads the 0.0.
@@ -171,7 +163,7 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
     flat[:, 2] = 2 * n_occ
     return CellSpace(
         spec=spec,
-        cells=(keys // spec.cells_y, keys % spec.cells_y),
+        cells=np.unravel_index(keys, (spec.cells_x, spec.cells_y)),
         counts=np.repeat(counts.astype(np.float64)[:, None], 2, axis=1),
         rows=rows,
         flat=flat,

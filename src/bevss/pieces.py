@@ -12,7 +12,7 @@ from scipy import ndimage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .grid import BevGridSpec, PointCloud, cell_indices
+from .grid import BevGridSpec, PointCloud, cell_keys
 from .projection import CalibratedCamera, FlowImage, project_many
 
 
@@ -294,12 +294,10 @@ def fuse_by_height(
     if n_labels:
         # Labels that share a cell are linked; each connected component takes
         # its smallest label as its id.
-        idx, in_range = cell_indices(cloud.points, spec)
-        valid = has & in_range
-        cell_key = idx[valid, 0].astype(np.int64) * spec.cells_y + idx[valid, 1]
-        lab = labels[valid]
-        order = np.lexsort((lab, cell_key))
-        ck, lb = cell_key[order], lab[order]
+        key, in_range = cell_keys(cloud.points, spec)
+        sel = np.flatnonzero(has & in_range)
+        sel = sel[np.lexsort((labels[sel], key[sel]))]  # by cell, then label
+        ck, lb = key[sel], labels[sel]
         same_cell = ck[1:] == ck[:-1]
         links = (np.ones(int(same_cell.sum())), (lb[:-1][same_cell], lb[1:][same_cell]))
         n_comp, component = connected_components(coo_matrix(links, shape=(n_labels, n_labels)), directed=False)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, cell_indices
+from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, cell_keys
 from .projection import EPS_DEPTH, CalibratedCamera, FlowImage, project_many
 from .scene import SceneBundle
 
@@ -319,15 +319,13 @@ def ground_truth_field(bundle: SceneBundle, t: int) -> BevMotionField:
     cloud0 = bundle.clouds[0]
     inst = bundle.gt_instances[0]
     spec = bundle.grid
-    idx, valid = cell_indices(cloud0.points, spec)
+    key, valid = cell_keys(cloud0.points, spec)
     values = np.zeros((spec.cells_x, spec.cells_y, 2))
     sel = valid & (inst >= 0)
     if np.any(sel):
-        cell_key = idx[sel, 0].astype(np.int64) * spec.cells_y + idx[sel, 1]
         actors = inst[sel]
         n_actors = int(actors.max()) + 1
-        combo = cell_key * n_actors + actors
-        uniq, counts = np.unique(combo, return_counts=True)
+        uniq, counts = np.unique(key[sel] * n_actors + actors, return_counts=True)
         cells = uniq // n_actors
         # Majority actor per cell: the last group of each cell once the
         # groups are sorted by (cell, count).
@@ -338,7 +336,7 @@ def ground_truth_field(bundle: SceneBundle, t: int) -> BevMotionField:
         if mixed:
             warnings.warn(f"{mixed} BEV cells contain points from multiple actors")
         c, a = cells_o[last], uniq[order[last]] % n_actors
-        values[c // spec.cells_y, c % spec.cells_y] = t * bundle.actor_velocities[a]
+        values[np.unravel_index(c, values.shape[:2])] = t * bundle.actor_velocities[a]
     return BevMotionField(spec=spec, time_offset=t, values=values)
 
 

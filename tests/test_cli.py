@@ -189,6 +189,41 @@ def test_debug_shows_the_traceback_instead_of_the_error_line(capsys):
     assert capsys.readouterr().err == ""
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: its write or its flush raises."""
+
+    def __init__(self, fd, failing):
+        self.fd, self.failing = fd, failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_closed_stdout_ends_the_command_quietly(workspace, tmp_path, monkeypatch, capsys, failing):
+    argv = ["eval", "--scene", workspace["scene"], "--pred", workspace["pred"], "--kv"]
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(fd, failing))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        # What is left to write at exit goes to devnull.
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        with pytest.raises(BrokenPipeError):
+            cli.main(["--debug", *argv])
+    finally:
+        os.close(fd)
+
+
 @pytest.mark.parametrize("command,output", [("loss", "--pred"), ("optimize", "--out")])
 def test_parser_defaults_are_the_config_defaults(command, output):
     args = cli.build_parser().parse_args([command, "--scene", "s", output, "o"])

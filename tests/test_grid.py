@@ -1,18 +1,11 @@
-"""BEV grid binning and field-to-point assignment."""
+"""BEV grid binning and the grid data types."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevss.grid import (
-    BevGridSpec,
-    BevMotionField,
-    FrameSet,
-    PointCloud,
-    cell_indices,
-    field_to_point_flows,
-)
+from bevss.grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, cell_indices, cell_keys
 
 SPEC = BevGridSpec()
 
@@ -83,6 +76,17 @@ def test_cell_indices_vectorized_matches_scalar(rng):
             assert cell == (idx[i, 0], idx[i, 1])
 
 
+def test_cell_keys_flatten_cell_indices(rng):
+    spec = BevGridSpec(x_min=-8.0, x_max=8.0, y_min=-4.0, y_max=6.0, cell_size=0.5)  # 32 x 20
+    pts = rng.uniform(-10, 10, size=(500, 3))
+    idx, valid = cell_indices(pts, spec)
+    keys, keys_valid = cell_keys(pts, spec)
+    np.testing.assert_array_equal(keys_valid, valid)
+    np.testing.assert_array_equal(keys, idx[:, 0] * spec.cells_y + idx[:, 1])
+    ix, iy = np.unravel_index(keys, (spec.cells_x, spec.cells_y))
+    np.testing.assert_array_equal(np.stack([ix, iy], axis=1), idx)
+
+
 def test_point_cloud_validation():
     with pytest.raises(ValueError):
         PointCloud(0, np.zeros((3, 2)))
@@ -108,23 +112,4 @@ def test_motion_field_validation():
         BevMotionField(SPEC, 1, np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         BevMotionField(SPEC, 1, np.full((SPEC.cells_x, SPEC.cells_y, 2), np.inf))
-
-
-def test_field_to_point_flows_assigns_cell_motion():
-    values = np.zeros((SPEC.cells_x, SPEC.cells_y, 2))
-    values[128, 128] = (1.5, -0.5)
-    field = BevMotionField(SPEC, 1, values)
-    pts = np.array(
-        [
-            [0.1, 0.1, 0.0],  # inside cell (128, 128)
-            [10.0, 10.0, 0.0],  # a zero cell
-            [100.0, 0.0, 0.0],  # outside the grid
-        ]
-    )
-    flows = field_to_point_flows(field, PointCloud(0, pts))
-    assert flows.time_offset == 1
-    np.testing.assert_allclose(flows.flows[0], [1.5, -0.5, 0.0])
-    np.testing.assert_allclose(flows.flows[1], 0.0)
-    np.testing.assert_allclose(flows.flows[2], 0.0)  # out-of-grid points stay put
-    assert np.all(flows.flows[:, 2] == 0.0)
 

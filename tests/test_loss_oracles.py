@@ -256,7 +256,7 @@ def test_cell_space_terms_match_reference(one_box):
     clouds = {0: PointCloud(0, points0)}
     masks = {0: StaticDynamicMask(0, status)}
     for t in OFFSETS:
-        target = mc.targets[t].points
+        target = mc.nn[t].b
         clouds[t] = PointCloud(t, target)
         masks[t] = StaticDynamicMask(t, np.full(len(target), DYNAMIC, dtype=np.uint8))
     labels = np.full(n, -1, dtype=np.int32)

@@ -11,7 +11,6 @@ from bevss.losses import (
     TemporalConsistency,
     chamfer,
     chamfer_pairs,
-    masked_chamfer,
     rigidity,
     smoothness,
     smoothness_neighbors,
@@ -25,6 +24,11 @@ OFFSETS = (-1, 1, 2)
 
 def flow_sets(arrays):
     return {t: PointFlowSet(t, a) for t, a in arrays.items()}
+
+
+def masked_chamfer(clouds, masks, flows, with_grad=False):
+    """MaskedChamfer over the offsets of flows, set up and evaluated once."""
+    return MaskedChamfer(clouds, masks, flows)(flows, with_grad)
 
 
 def test_weights_validation():
@@ -308,7 +312,7 @@ def _dynamic_term(points0, targets):
 def _assert_pairs_fresh(term, flows, via_call=False):
     """The term's pairs at flows equal fresh chamfer_pairs. via_call moves
     the term there by a call without pairs, otherwise by pairs()."""
-    ref = {t: chamfer_pairs(term.dyn_points + flows[t], term.targets[t].points) for t in flows}
+    ref = {t: chamfer_pairs(term.dyn_points + flows[t], term.nn[t].b) for t in flows}
     if via_call:
         _assert_same(term(flow_sets(flows), True), term(flow_sets(flows), True, ref))
     got = term.pairs(flow_sets(flows))

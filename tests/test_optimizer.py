@@ -6,15 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bevss.grid import BevGridSpec, FrameSet, PointFlowSet, cell_indices, gather_flows
-from bevss.losses import (
-    LossValue,
-    LossWeights,
-    MaskedChamfer,
-    masked_chamfer,
-    rigidity,
-    temporal_consistency,
-)
+from bevss.grid import BevGridSpec, FrameSet, PointCloud, PointFlowSet, cell_indices
+from bevss.losses import LossValue, LossWeights, MaskedChamfer, rigidity, temporal_consistency
 from bevss.masks import DYNAMIC, StaticDynamicMask
 from bevss.optimizer import (
     DivergenceError,
@@ -26,6 +19,15 @@ from bevss.optimizer import (
 )
 
 PLAIN = dict(use_mask=False, weights=LossWeights(lambda_pr=0.0, lambda_tc=0.0))
+
+
+def gather_flows(values, idx, valid):
+    """(N, 3) point flows from a (cells_x, cells_y, 2) values array: each
+    valid point takes the planar motion of its cell with zero vertical, the
+    others (0, 0, 0)."""
+    flows = np.zeros((idx.shape[0], 3), dtype=np.float64)
+    flows[valid, :2] = values[idx[valid, 0], idx[valid, 1]]
+    return flows
 
 
 def _point_field_loss_and_gradients(bundle, fields, cfg):
@@ -43,7 +45,7 @@ def _point_field_loss_and_gradients(bundle, fields, cfg):
             for t in (0, *offsets)
         }
     w = cfg.weights
-    terms = [("mc", w.lambda_mc, masked_chamfer(bundle.clouds, masks, flows, with_grad=True))]
+    terms = [("mc", w.lambda_mc, MaskedChamfer(bundle.clouds, masks, offsets)(flows, True))]
     if w.lambda_pr > 0:
         terms.append(("pr", w.lambda_pr, rigidity(bundle.pieces, flows, with_grad=True)))
     if w.lambda_tc > 0:
@@ -181,6 +183,31 @@ def test_cell_space_matches_point_oracle_out_of_grid_points(supervised):
     assert (bundle.pieces.labels[out] >= 0).any()
     _assert_matches_point_oracle(bundle, OptimConfig(), seed=1)
     _assert_matches_point_oracle(bundle, OptimConfig(**PLAIN), seed=2)
+
+
+def test_cell_space_assigns_cell_motion(one_box, monkeypatch):
+    # The flows the terms see: a unit in a moving cell takes its planar
+    # motion with zero vertical; a zero cell and an out-of-grid point read 0.
+    bundle = copy.copy(one_box)
+    points = [[0.1, 0.1, 0.0], [10.0, 10.0, 0.0], [100.0, 0.0, 0.0]]
+    bundle.clouds = {**one_box.clouds, 0: PointCloud(0, np.array(points))}
+    cfg = OptimConfig(**PLAIN)  # every point is its own unit, in order
+    space = cell_space(bundle, cfg)
+    values = np.zeros((bundle.grid.cells_x, bundle.grid.cells_y, 2))
+    values[128, 128] = (1.5, -0.5)  # the cell of the first point
+    seen = []
+    evaluate = MaskedChamfer.__call__
+
+    def record(self, flows, with_grad=False, pairs=None):
+        seen.append(flows)
+        return evaluate(self, flows, with_grad, pairs)
+
+    monkeypatch.setattr(MaskedChamfer, "__call__", record)
+    field_loss_and_gradients(space, {t: values[space.cells] for t in cfg.frame_set.offsets})
+    assert seen[0].keys() == set(cfg.frame_set.offsets)
+    for t, flows in seen[0].items():
+        assert flows.time_offset == t
+        np.testing.assert_array_equal(flows.flows, [[1.5, -0.5, 0.0], [0.0] * 3, [0.0] * 3])
 
 
 def test_optimize_reduces_loss_and_reports(supervised):
