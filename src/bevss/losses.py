@@ -46,8 +46,11 @@ class LossWeights:
     lambda_tc: float = 0.4
 
     def __post_init__(self):
-        if min(self.lambda_mc, self.lambda_pr, self.lambda_tc) < 0:
-            raise ValueError("loss weights must be non-negative")
+        # `nan > 0` is False, so a NaN weight would silently switch its term off.
+        for name in ("lambda_mc", "lambda_pr", "lambda_tc"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _multiplicity(multiplicity, n: int) -> np.ndarray:

@@ -24,8 +24,11 @@ class MaskThresholds:
     ground_z: float = -1.4  # meters; below this a point is forced static
 
     def __post_init__(self):
-        if self.tau_2d <= 0 or self.tau_3d <= 0:
-            raise ValueError("thresholds must be positive")
+        for name in ("tau_2d", "tau_3d"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive")
+        if not np.isfinite(self.ground_z):
+            raise ValueError("ground_z must be finite")
 
 
 @dataclass(frozen=True)

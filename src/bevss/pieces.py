@@ -21,7 +21,7 @@ class PieceParams:
     superpixel_count: int = 400
     compactness: float = 10.0
     flow_gain: float = 4.0  # scales flow channels so boundaries dominate
-    slic_iters: int = 10
+    slic_iters: int = 10  # most assignment passes; SLIC stops early at its fixed point
     delta_d: float = 0.5  # meters of allowed depth spread within a piece
     min_piece_points: int = 5
 
@@ -91,8 +91,11 @@ def oversegment(flow_img: FlowImage, params: PieceParams) -> Segmentation2D:
     search window covers it; ties go to the lowest center index. A window
     spans rows and columns within +-ceil(2S) of the truncated center, i.e.
     (2*ceil(2S)+1)^2 pixels clipped at the image border. Pixels outside
-    every window take the spatially nearest center. Disconnected fragments
-    are relabeled to a neighboring superpixel afterwards.
+    every window take the spatially nearest center. At most
+    `params.slic_iters` passes run: the loop stops once a pass leaves the
+    centers where they were, since every later pass would repeat it, so the
+    labels are those of all `slic_iters` passes bit for bit. Disconnected
+    fragments are relabeled to a neighboring superpixel afterwards.
     """
     h, w = flow_img.data.shape[:2]
     if params.superpixel_count > h * w:
@@ -116,7 +119,8 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
     n_c = centers_yx.shape[0]
     ci = np.clip(np.rint(centers_yx[:, 0]).astype(int), 0, h - 1)
     cj = np.clip(np.rint(centers_yx[:, 1]).astype(int), 0, w - 1)
-    centers_f = np.stack([f0[ci, cj], f1[ci, cj]], axis=1)
+    # One row per center: (y, x, f0, f1).
+    centers = np.column_stack([centers_yx, f0[ci, cj], f1[ci, cj]])
 
     ys = np.arange(h, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64)
@@ -128,7 +132,7 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
         # Centers in ascending order, each over its window clipped at the
         # border; a pixel moves only on a strictly smaller distance, so ties go
         # to the lowest center index.
-        for c, ((yc, xc), (fc0, fc1)) in enumerate(zip(centers_yx.tolist(), centers_f.tolist())):
+        for c, (yc, xc, fc0, fc1) in enumerate(centers.tolist()):
             rows = slice(max(int(yc) - half, 0), int(yc) + half + 1)
             cols = slice(max(int(xc) - half, 0), int(xc) + half + 1)
             dy = ys[rows] - yc
@@ -146,9 +150,7 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
         orphan = labels < 0
         if np.any(orphan):
             oy, ox = np.nonzero(orphan)
-            d = (oy[:, None] - centers_yx[None, :, 0]) ** 2 + (
-                ox[:, None] - centers_yx[None, :, 1]
-            ) ** 2
+            d = (oy[:, None] - centers[None, :, 0]) ** 2 + (ox[:, None] - centers[None, :, 1]) ** 2
             labels[oy, ox] = np.argmin(d, axis=1)
         # Per-center means; bincount sums in raster order, as a masked mean
         # would, and centers left without pixels keep their position. Each
@@ -160,10 +162,20 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
         def mean(weights):
             return np.bincount(lab, weights, n_c)[has] / counts[has]
 
-        centers_yx[has, 0] = mean(np.repeat(ys, w))
-        centers_yx[has, 1] = mean(np.tile(xs, h))
-        centers_f[has, 0] = mean(f0.ravel())
-        centers_f[has, 1] = mean(f1.ravel())
+        previous = centers.copy()
+        centers[has, 0] = mean(np.repeat(ys, w))
+        centers[has, 1] = mean(np.tile(xs, h))
+        centers[has, 2] = mean(f0.ravel())
+        centers[has, 3] = mean(f1.ravel())
+        # Fixed point. A pass assigns labels from the centers alone, and the
+        # centers come from those labels (empty ones keep theirs). Centers
+        # equal to the ones this pass assigned from make the next pass assign
+        # the same labels, whose bincounts give the same centers again, so
+        # every later pass repeats this one: stopping here returns the labels
+        # that all slic_iters passes would. Labels equal to the previous
+        # pass's imply equal centers, so this stops no later than that test.
+        if np.array_equal(centers, previous):
+            break
     return labels
 
 

@@ -104,6 +104,13 @@ def test_label_option_on_a_labeled_scene_is_an_error(workspace, tmp_path, capsys
     assert not os.path.exists(tmp_path / "p")
 
 
+def test_non_finite_weight_is_an_error(workspace, tmp_path, capsys):
+    argv = ["optimize", "--scene", workspace["scene"], "--out", str(tmp_path / "p"), "--lambda-pr", "nan"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: lambda_pr ")
+    assert not os.path.exists(tmp_path / "p")
+
+
 def test_label_option_on_an_unlabeled_scene_sets_the_labels(workspace, tmp_path, capsys):
     scene = str(tmp_path / "unlabeled")
     assert cli.main(["synth", "--preset", "one-box", "--seed", "0", "--out", scene]) == 0

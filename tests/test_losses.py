@@ -36,6 +36,13 @@ def test_weights_validation():
         LossWeights(lambda_mc=-0.1)
 
 
+@pytest.mark.parametrize("field", ["lambda_mc", "lambda_pr", "lambda_tc"])
+@pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+def test_weights_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        LossWeights(**{field: value})
+
+
 def test_chamfer_hand_computed():
     a = PointCloud(0, np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     b = PointCloud(1, np.array([[0.5, 0.0, 0.0]]))

@@ -104,6 +104,22 @@ def test_threshold_validation():
         MaskThresholds(tau_3d=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # An unchecked NaN tau would make every visible point dynamic.
+        ("tau_2d", float("nan")),
+        ("tau_3d", float("nan")),
+        ("ground_z", float("nan")),
+        ("ground_z", float("inf")),
+        ("ground_z", float("-inf")),
+    ],
+)
+def test_thresholds_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        MaskThresholds(**{field: value})
+
+
 def classify_one(f2d, f3d, thr):
     return classify(np.array([f2d], dtype=np.float64), np.array([f3d], dtype=np.float64), thr)[0]
 

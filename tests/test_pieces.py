@@ -221,10 +221,10 @@ def test_oversegment_matches_loop_oracle_on_scene_flow(one_box):
     np.testing.assert_array_equal(seg.labels, _loop_oversegment(data, params))
 
 
-def _full_camera(bundle) -> FlowImage:
+def _full_camera(bundle, camera=0) -> FlowImage:
     # Default params on a whole 240x480 image: 14x29 = 406 centers and
     # 69x69 windows.
-    flow = bundle.frame_flows(0)[0]
+    flow = bundle.frame_flows(0)[camera]
     assert flow.data.shape[:2] == (240, 480)
     assert _grid_shape(240, 480, PieceParams().superpixel_count) == (14, 29)
     return flow
@@ -234,6 +234,33 @@ def test_oversegment_matches_loop_oracle_on_a_full_camera(one_box):
     flow = _full_camera(one_box)
     seg = oversegment(flow, PieceParams())
     np.testing.assert_array_equal(seg.labels, _loop_oversegment(flow.data, PieceParams()))
+
+
+@pytest.mark.parametrize("slic_iters", [2, 3, 10])
+def test_oversegment_matches_loop_oracle_on_a_camera_that_stops_early(one_box, slic_iters):
+    # Camera 1 reaches the fixed point after one pass, so SLIC stops after
+    # two; the oracle runs every pass.
+    flow = _full_camera(one_box, camera=1)
+    params = PieceParams(slic_iters=slic_iters)
+    seg = oversegment(flow, params)
+    np.testing.assert_array_equal(seg.labels, _loop_oversegment(flow.data, params))
+
+
+@pytest.mark.parametrize("camera, slic_iters, passes", [(1, 10, 2), (0, 10, 10), (1, 1, 1)])
+def test_slic_stops_at_the_fixed_point(one_box, monkeypatch, camera, slic_iters, passes):
+    # The fixed-point test calls np.array_equal once at the end of each pass.
+    calls = []
+    array_equal = np.array_equal
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return array_equal(*args, **kwargs)
+
+    data = _full_camera(one_box, camera).data
+    monkeypatch.setattr(np, "array_equal", counting)
+    _slic_labels(data, PieceParams(slic_iters=slic_iters))
+    monkeypatch.undo()
+    assert len(calls) == passes
 
 
 def test_slic_labels_match_loop_oracle_on_a_full_noisy_camera():
