@@ -166,24 +166,19 @@ def field_path(directory: str, t: int) -> str:
 # numbers key the bundle dict), the SceneBundle dict, the file (its last {} is
 # the frame tag), the writer (path, value) and the reader (path, dict key,
 # grid). The rows of one group are written interleaved, frame by frame. The
-# writers and readers are looked up when called, so a wrapper set on this
-# module's functions sees the calls that save_scene and load_scene make.
+# writers are the save functions themselves; the readers are lambdas because
+# they adapt each loader to the one reader signature.
 _ARTIFACTS = (
-    (("cloud", "clouds", "clouds/frame_{}.pcb",
-      lambda p, v: save_cloud(p, v), lambda p, t, g: load_cloud(p, t)),),
-    (("flow", "flow_images", "flows/cam{}_{}.flw",
-      lambda p, v: save_flow(p, v), lambda p, kt, g: load_flow(p, *kt)),),
-    (("gt_field", "gt_fields", "gt/field_{}.bev",
-      lambda p, v: save_field(p, v), lambda p, t, g: load_field(p, g)),),
-    (("gt_mask", "gt_masks", "gt/mask_{}.msk",
-      lambda p, v: save_mask_bytes(p, v), lambda p, t, g: load_mask_bytes(p)),
+    (("cloud", "clouds", "clouds/frame_{}.pcb", save_cloud, lambda p, t, g: load_cloud(p, t)),),
+    (("flow", "flow_images", "flows/cam{}_{}.flw", save_flow, lambda p, kt, g: load_flow(p, *kt)),),
+    (("gt_field", "gt_fields", "gt/field_{}.bev", save_field, lambda p, t, g: load_field(p, g)),),
+    (("gt_mask", "gt_masks", "gt/mask_{}.msk", save_mask_bytes, lambda p, t, g: load_mask_bytes(p)),
      ("gt_instances", "gt_instances", "gt/inst_{}.seg",
       lambda p, v: save_pieces(p, RigidPieces(0, v, int(v.max(initial=-1)) + 1)),
       lambda p, t, g: load_pieces(p, t).labels),
      ("gt_visible", "visibility", "gt/vis_{}.msk",
-      lambda p, v: save_mask_bytes(p, v), lambda p, t, g: load_mask_bytes(p).astype(bool))),
-    (("mask", "pseudo_masks", "labels/mask_{}.msk",
-      lambda p, v: save_mask(p, v), lambda p, t, g: load_mask(p, t)),),
+      save_mask_bytes, lambda p, t, g: load_mask_bytes(p).astype(bool))),
+    (("mask", "pseudo_masks", "labels/mask_{}.msk", save_mask, lambda p, t, g: load_mask(p, t)),),
 )
 
 

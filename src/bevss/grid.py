@@ -5,7 +5,8 @@ y left, z up, meters. The BEV grid discretizes the x/y plane; each cell
 stores one planar displacement shared by every point inside it.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -27,6 +28,8 @@ class BevGridSpec:
     cell_size: float = 0.25
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("grid extents and cell_size must be finite")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
@@ -118,8 +121,8 @@ class FrameSet:
             raise ValueError("offset 0 is not a prediction target")
         if len(set(offs)) != len(offs):
             raise ValueError("offsets must be distinct")
-        if self.frame_interval_s <= 0:
-            raise ValueError("frame_interval_s must be positive")
+        if not 0 < self.frame_interval_s < math.inf:
+            raise ValueError("frame_interval_s must be finite and positive")
         object.__setattr__(self, "offsets", offs)
 
 

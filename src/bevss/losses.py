@@ -12,13 +12,6 @@ evaluate step. MaskedChamfer, Rigidity and TemporalConsistency check
 their fixed inputs and precompute index sets, weights and target trees
 once; calling a term evaluates the one formula of its loss on a flow set.
 rigidity and temporal_consistency set a term up and evaluate it once.
-
-A term may weight its points by multiplicities: a point with
-multiplicity k counts as k copies of itself, and its gradient is the sum
-over the copies. A scalar applies to every point; the default 1.0 counts
-each point once. The optimizer uses them to evaluate the objective once
-per group of frame-0 points that share a BEV cell, since such points
-share a flow.
 """
 
 from dataclasses import dataclass
@@ -51,16 +44,6 @@ class LossWeights:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
-
-
-def _multiplicity(multiplicity, n: int) -> np.ndarray:
-    """(n,) checked multiplicities from an (n,) array or a scalar."""
-    m = np.asarray(multiplicity, dtype=np.float64)
-    if m.shape not in ((), (n,)):
-        raise ValueError(f"multiplicity shape {m.shape} != ({n},)")
-    if not (np.isfinite(m) & (m > 0)).all():
-        raise ValueError("multiplicities must be positive and finite")
-    return np.full(n, m)
 
 
 def _wide(x: np.ndarray) -> np.ndarray:
@@ -183,12 +166,10 @@ class MaskedChamfer:
     dynamic subset of frame 0 is warped and compared against the dynamic
     subset of that frame; pseudo-static frame-0 points pay the mean L1
     norm of their flow. An empty dynamic set on either side skips the
-    Chamfer term for that offset. multiplicity weights the frame-0 points
-    of the static term; every pseudo-dynamic point must have
-    multiplicity 1.
+    Chamfer term for that offset.
     """
 
-    def __init__(self, clouds: dict, masks: dict, offsets, multiplicity=1.0):
+    def __init__(self, clouds: dict, masks: dict, offsets):
         if 0 not in clouds or 0 not in masks:
             raise ValueError("frame 0 cloud and mask are required")
         cloud0, mask0 = clouds[0], masks[0]
@@ -204,19 +185,14 @@ class MaskedChamfer:
         self.n0 = len(cloud0)
         self.dyn_idx = np.flatnonzero(dyn0)
         self.stat_idx = np.flatnonzero(~dyn0)
-        m = _multiplicity(multiplicity, self.n0)
-        if np.any(m[self.dyn_idx] != 1.0):
-            raise ValueError("pseudo-dynamic points must have multiplicity 1")
-        m_stat = m[self.stat_idx]
-        self.n_stat = float(m_stat.sum())
-        self.m_stat = _wide(m_stat)
-        # The static gradient of a row is sign(f) m / n_stat / n_off, taken
+        self.n_stat = float(self.stat_idx.size)
+        # The static gradient of a row is sign(f) / n_stat / n_off, taken
         # densely as sign(f) times this weight, which is 0 on dynamic rows.
         # sign(f) is -1, 0 or 1 and rounding is symmetric, so the product is
         # exact. Without static rows (n_stat 0) the weight is 0 everywhere.
         self.g_stat = np.zeros((self.n0, 3))
         if self.stat_idx.size:
-            self.g_stat[self.stat_idx] = self.m_stat / self.n_stat / len(self.offsets)
+            self.g_stat[self.stat_idx] = 1.0 / self.n_stat / len(self.offsets)
         self.dyn_points = cloud0.points[self.dyn_idx]
         # One pair state per offset whose Chamfer term is on; it holds the
         # dynamic target points of that offset.
@@ -259,7 +235,6 @@ class MaskedChamfer:
 
             if self.stat_idx.size:
                 fs = np.abs(np.take(f, self.stat_idx, axis=0))
-                fs *= self.m_stat
                 value += float(fs.sum()) / self.n_stat
             if with_grad:
                 grads[t] = g
@@ -273,20 +248,18 @@ class MaskedChamfer:
 class Rigidity:
     """Mean absolute deviation of flows about their piece mean, per frame.
 
-    Pieces with no constraint (piece_count 0) yield 0. multiplicity
-    weights each point of pieces.labels.
+    Pieces with no constraint (piece_count 0) yield 0.
     """
 
-    def __init__(self, pieces: RigidPieces, multiplicity=1.0):
+    def __init__(self, pieces: RigidPieces):
         labels = pieces.labels
         self.n_r = pieces.piece_count
         self.valid = np.flatnonzero(labels >= 0)
         self.lab = labels[self.valid]
-        m = _multiplicity(multiplicity, len(labels))[self.valid]
-        counts = np.bincount(self.lab, weights=m, minlength=self.n_r)
-        # Per-point weight m/(N_r |R_j|), with |R_j| counted in copies.
-        w = 1.0 / (self.n_r * counts[self.lab]) * m
-        self.m, self.counts, self.w = _wide(m), _wide(counts), _wide(w)
+        counts = np.bincount(self.lab, minlength=self.n_r).astype(np.float64)
+        # Per-point weight 1/(N_r |R_j|).
+        w = 1.0 / (self.n_r * counts[self.lab])
+        self.counts, self.w = _wide(counts), _wide(w)
         # Piece-and-coordinate bin of each entry of a row-major (V, 3) array.
         self.bins = (3 * self.lab[:, None] + np.arange(3)).ravel()
 
@@ -300,14 +273,14 @@ class Rigidity:
         grads: dict[int, np.ndarray] = {}
         for t, fl in sorted(flows.items()):
             f = np.take(fl.flows, self.valid, axis=0)
-            means = self._piece_sums(self.m * f) / self.counts
+            means = self._piece_sums(f) / self.counts
             dev = f - np.take(means, self.lab, axis=0)
             value += float((self.w * np.abs(dev)).sum())
             if with_grad:
                 s = np.sign(dev)
                 # Dividing the piece sums before taking them per point gives
                 # the same quotients, computed once per piece.
-                s -= np.take(self._piece_sums(self.m * s) / self.counts, self.lab, axis=0)
+                s -= np.take(self._piece_sums(s) / self.counts, self.lab, axis=0)
                 s *= self.w
                 s /= len(flows)
                 g = np.zeros((len(fl), 3))
@@ -326,16 +299,14 @@ class TemporalConsistency:
     Evaluates the offsets of frame_set for n points. Displacements are
     divided by their signed offset, so a backward frame contributes a
     forward velocity and constant-velocity motion is the exact zero of the
-    loss. multiplicity weights each point.
+    loss.
     """
 
-    def __init__(self, frame_set: FrameSet, n: int, multiplicity=1.0):
+    def __init__(self, frame_set: FrameSet, n: int):
         self.offsets = tuple(sorted(frame_set.offsets))
         if len(self.offsets) < 2:
             raise ValueError("temporal consistency needs at least two offsets")
-        m = _multiplicity(multiplicity, n)
-        self.n = float(m.sum())
-        self.m = _wide(m)
+        self.n = float(n)
 
     def __call__(self, flows: dict, with_grad: bool = False) -> LossValue:
         if flows.keys() != set(self.offsets):
@@ -346,7 +317,6 @@ class TemporalConsistency:
             np.divide(flows[t].flows, t, out=x[k])  # velocities
         np.subtract(x.mean(axis=0), x, out=x)  # deviations of the mean from each
         a = np.abs(x)
-        a *= self.m
         norm = self.n * n_t
         value = float(a.sum()) / norm
         if not with_grad:
@@ -358,7 +328,6 @@ class TemporalConsistency:
             g = s_sum / (n_t * t)
             g -= np.divide(s[k], t, out=s[k])
             g /= norm
-            g *= self.m
             grads[t] = g
         return LossValue(value, grad=grads)
 

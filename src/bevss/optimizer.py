@@ -8,8 +8,8 @@ recover the true motion.
 Every loss term sees a frame-0 point only through the flow of its BEV
 cell, so the descent runs in cell space: the fields are (n_occupied, 2)
 arrays over the cells that hold frame-0 points, and the losses are
-evaluated once per group of points that share a cell (and a rigid piece),
-weighted by the group's size. Only the fields handed back are dense.
+evaluated once per frame-0 point on the flow of its cell. Only the fields
+handed back are dense.
 """
 
 import math
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BevGridSpec, BevMotionField, FrameSet, PointCloud, PointFlowSet, cell_keys
+from .grid import BevGridSpec, BevMotionField, FrameSet, PointFlowSet, cell_keys
 from .losses import LossWeights, MaskedChamfer, Rigidity, TemporalConsistency
-from .masks import DYNAMIC, STATIC, MaskThresholds, StaticDynamicMask, build_mask
-from .pieces import PieceParams, RigidPieces, build_pieces
+from .masks import DYNAMIC, MaskThresholds, StaticDynamicMask, build_mask
+from .pieces import PieceParams, build_pieces
 from .scene import SceneBundle
 
 LR_DECAY = 0.5  # learning-rate factor applied every LR_DECAY_EVERY iterations
@@ -84,20 +84,16 @@ def prepare_supervision(
 class CellSpace:
     """The objective restated over the occupied cells of frame 0.
 
-    A unit is one pseudo-dynamic frame-0 point (the Chamfer term needs its
-    position), or one group of the other frame-0 points that share a cell
-    and, when the rigidity term is on, a piece label. Each unit carries its
-    group size as its loss multiplicity and reads its flow from one row of
-    a padded field: the n_occupied cell rows, then a pinned zero row for
-    out-of-grid points. The loss terms are set up once over the units; a
-    term whose weight is zero is None.
+    Each frame-0 point reads its flow from one row of a padded field: the
+    n_occupied cell rows, then a pinned zero row for out-of-grid points.
+    The loss terms are set up once on the bundle's frame-0 cloud, masks
+    and pieces, one row per point; a term whose weight is zero is None.
     """
 
     spec: BevGridSpec
     cells: tuple  # (ix, iy) arrays of the n_occupied cells
     counts: np.ndarray  # (n_occupied, 2) frame-0 points per cell, per flow component
-    rows: np.ndarray  # (U,) padded-field row of each unit
-    flat: np.ndarray  # (U, 3) index of each unit's flow in [field.ravel(), 0.0]
+    flat: np.ndarray  # (n0, 3) index of each point's flow in [field.ravel(), 0.0]
     weights: LossWeights
     mc: MaskedChamfer
     pr: Rigidity | None
@@ -126,51 +122,30 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         masks = {t: StaticDynamicMask(t, np.full(len(bundle.clouds[t]), DYNAMIC, np.uint8)) for t in (0, *offsets)}
     w = cfg.weights
     use_pieces = w.lambda_pr > 0
-    if use_pieces and bundle.pieces is None:
-        raise ValueError("missing rigid pieces")
+    if use_pieces:
+        if bundle.pieces is None:
+            raise ValueError("missing rigid pieces")
+        if len(bundle.pieces) != len(bundle.clouds[0]):
+            raise ValueError("pieces and frame 0 cloud lengths differ")
 
     spec = bundle.grid
     points0 = bundle.clouds[0].points
-    n0 = len(points0)
     key, valid = cell_keys(points0, spec)
     keys, inverse, counts = np.unique(key[valid], return_inverse=True, return_counts=True)
     n_occ = keys.size
-    row = np.full(n0, n_occ, dtype=np.intp)
-    row[valid] = inverse
-
-    if use_pieces:
-        if len(bundle.pieces) != n0:
-            raise ValueError("pieces and frame 0 cloud lengths differ")
-        labels, n_r = bundle.pieces.labels, bundle.pieces.piece_count
-    else:
-        labels, n_r = np.full(n0, -1, dtype=np.int32), 0
-    dyn0 = masks[0].status == DYNAMIC
-    dyn, rest = np.flatnonzero(dyn0), np.flatnonzero(~dyn0)
-    _, first, size = np.unique(
-        row[rest] * (n_r + 1) + (labels[rest] + 1), return_index=True, return_counts=True
-    )
-    members = np.concatenate([dyn, rest[first]])
-    m = np.concatenate([np.ones(dyn.size), size.astype(np.float64)])
-    status = np.full(members.size, STATIC, dtype=np.uint8)
-    status[: dyn.size] = DYNAMIC
-
-    clouds = {**bundle.clouds, 0: PointCloud(0, points0[members])}
-    masks = {**masks, 0: StaticDynamicMask(0, status)}
-    rows = row[members]
-    # The planar flow of a unit in a cell is that cell's field row; the
+    # The planar flow of a point in a cell is that cell's field row; the
     # vertical flow, and every component out of the grid, reads the 0.0.
-    flat = np.where(rows[:, None] < n_occ, 2 * rows[:, None] + np.arange(3), 2 * n_occ)
-    flat[:, 2] = 2 * n_occ
+    flat = np.full((len(points0), 3), 2 * n_occ, dtype=np.intp)
+    flat[valid, :2] = 2 * inverse[:, None] + np.arange(2)
     return CellSpace(
         spec=spec,
         cells=np.unravel_index(keys, (spec.cells_x, spec.cells_y)),
         counts=np.repeat(counts.astype(np.float64)[:, None], 2, axis=1),
-        rows=rows,
         flat=flat,
         weights=w,
-        mc=MaskedChamfer(clouds, masks, offsets, m),
-        pr=Rigidity(RigidPieces(0, labels[members], n_r), m) if use_pieces else None,
-        tc=TemporalConsistency(cfg.frame_set, m.size, m) if w.lambda_tc > 0 else None,
+        mc=MaskedChamfer(bundle.clouds, masks, offsets),
+        pr=Rigidity(bundle.pieces) if use_pieces else None,
+        tc=TemporalConsistency(cfg.frame_set, len(points0)) if w.lambda_tc > 0 else None,
     )
 
 
@@ -206,13 +181,13 @@ def field_loss_and_gradients(space: CellSpace, fields: dict):
             else:
                 grads[t] = g
 
-    cell_grads = {}
-    for t in fields:
-        g = grads[t]
-        cell_grads[t] = np.stack(
-            [np.bincount(space.rows, weights=g[:, c], minlength=n_occ + 1)[:n_occ] for c in (0, 1)],
-            axis=1,
-        )
+    # The adjoint of the gather above: each point's gradient goes back to
+    # the field entries it read; what reached the pinned 0.0 is dropped.
+    at = space.flat.ravel()
+    cell_grads = {
+        t: np.bincount(at, grads[t].ravel(), 2 * n_occ + 1)[: 2 * n_occ].reshape(n_occ, 2)
+        for t in fields
+    }
     return components, cell_grads
 
 

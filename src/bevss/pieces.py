@@ -213,12 +213,12 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
             grown = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
             local = sub[grown]
             mask = comp[grown] == frag
+            # The ring holds no pixel of lab (it would be in the fragment), and
+            # is never empty: the fragment cannot fill its grown box, which
+            # would then be all of sub, where the kept component also lies.
             ring = ndimage.binary_dilation(mask, structure=structure) & ~mask
-            ring &= local != lab
-            if np.any(ring):
-                vals, counts = np.unique(local[ring], return_counts=True)
-                local[mask] = vals[np.argmax(counts)]
-            # A fragment surrounded by its own label keeps it.
+            vals, counts = np.unique(local[ring], return_counts=True)
+            local[mask] = vals[np.argmax(counts)]
     return _compact_labels(out)
 
 

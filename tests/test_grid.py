@@ -30,6 +30,15 @@ def test_spec_validation():
         BevGridSpec(x_min=1.0, x_max=-1.0)
 
 
+@pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "cell_size"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_non_finite_values(field, value):
+    # NaN fails every comparison, so z_min=nan puts every point out of range;
+    # cell_size=inf gives 0 cells, and an infinite extent no cell count.
+    with pytest.raises(ValueError, match="finite"):
+        BevGridSpec(**{field: value})
+
+
 coords = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
 heights = st.floats(min_value=-4.0, max_value=3.0, allow_nan=False)
 
@@ -105,6 +114,12 @@ def test_frame_set_validation():
         FrameSet(offsets=(1, 1))
     with pytest.raises(ValueError):
         FrameSet(frame_interval_s=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_frame_set_rejects_bad_intervals(value):
+    with pytest.raises(ValueError, match="frame_interval_s"):
+        FrameSet(frame_interval_s=value)
 
 
 def test_motion_field_validation():

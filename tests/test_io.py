@@ -217,6 +217,11 @@ def _zero_offset(out):
     return "offset 0"
 
 
+def _nan_interval(out):
+    _edit_manifest_line("frame_interval:", "frame_interval: nan")(out)
+    return r"manifest: frame_interval_s"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -227,10 +232,14 @@ def _zero_offset(out):
         _edit_manifest_line("  size:", "  size: 480"),
         _edit_manifest_line("frame_interval:", ": 0.5"),
         _zero_offset,
+        _nan_interval,
         _label_beyond_piece_count,
         _non_utf8_line,
     ],
-    ids=["frames", "velocities", "proj", "cloud-index", "size", "no-key", "zero-offset", "seg-label", "non-utf8"],
+    ids=[
+        "frames", "velocities", "proj", "cloud-index", "size", "no-key", "zero-offset", "nan-interval",
+        "seg-label", "non-utf8",
+    ],
 )
 def test_malformed_scene_raises_named_io_error(tmp_path, one_box, corrupt):
     out = str(tmp_path / "scene")

@@ -19,19 +19,14 @@ from bevss.pieces import RigidPieces
 OFFSETS = (-1, 1, 2)
 
 
-def _column(multiplicity, n):
-    return np.full(n, np.asarray(multiplicity, dtype=np.float64))[:, None]
-
-
 class RefMaskedChamfer:
-    def __init__(self, clouds, masks, offsets, multiplicity=1.0):
+    def __init__(self, clouds, masks, offsets):
         self.offsets = tuple(sorted(offsets))
         dyn0 = masks[0].status == DYNAMIC
         self.n0 = len(clouds[0])
         self.dyn_idx = np.flatnonzero(dyn0)
         self.stat_idx = np.flatnonzero(~dyn0)
-        self.m_stat = np.take(_column(multiplicity, self.n0), self.stat_idx, axis=0)
-        self.n_stat = float(self.m_stat.sum())
+        self.n_stat = float(self.stat_idx.size)
         self.dyn_points = clouds[0].points[self.dyn_idx]
         self.targets = {}
         for t in self.offsets:
@@ -48,7 +43,7 @@ class RefMaskedChamfer:
             fs = np.take(f, self.stat_idx, axis=0)
             if with_grad:
                 g = np.zeros((self.n0, 3))
-                g[self.stat_idx] = self.m_stat * np.sign(fs) / self.n_stat
+                g[self.stat_idx] = np.sign(fs) / self.n_stat
 
             if t in self.targets:
                 warped = self.dyn_points + f[self.dyn_idx]
@@ -59,7 +54,7 @@ class RefMaskedChamfer:
                     g[self.dyn_idx] += cd_grad["a"]
 
             if self.stat_idx.size:
-                value += float((self.m_stat * np.abs(fs)).sum()) / self.n_stat
+                value += float(np.abs(fs).sum()) / self.n_stat
             if with_grad:
                 g /= n_off
                 grads[t] = g
@@ -69,15 +64,14 @@ class RefMaskedChamfer:
 
 
 class RefRigidity:
-    def __init__(self, pieces, multiplicity=1.0):
+    def __init__(self, pieces):
         labels = pieces.labels
         self.n_r = pieces.piece_count
         self.valid = np.flatnonzero(labels >= 0)
         self.lab = labels[self.valid]
-        self.m = np.take(_column(multiplicity, len(labels)), self.valid, axis=0)
-        self.counts = np.bincount(self.lab, weights=self.m[:, 0], minlength=self.n_r)
+        self.counts = np.bincount(self.lab, minlength=self.n_r)
         self.lab_counts = self.counts[self.lab, None]
-        self.w = (1.0 / (self.n_r * self.counts[self.lab]) * self.m[:, 0])[:, None]
+        self.w = (1.0 / (self.n_r * self.counts[self.lab]))[:, None]
         self.bins = (3 * self.lab[:, None] + np.arange(3)).ravel()
 
     def _piece_sums(self, x):
@@ -89,12 +83,12 @@ class RefRigidity:
         grads = {}
         for t, fl in sorted(flows.items()):
             f = np.take(fl.flows, self.valid, axis=0)
-            means = self._piece_sums(self.m * f) / self.counts[:, None]
+            means = self._piece_sums(f) / self.counts[:, None]
             dev = f - np.take(means, self.lab, axis=0)
             value += float((self.w * np.abs(dev)).sum())
             if with_grad:
                 s = np.sign(dev)
-                piece_s = np.take(self._piece_sums(self.m * s), self.lab, axis=0)
+                piece_s = np.take(self._piece_sums(s), self.lab, axis=0)
                 g = np.zeros((len(fl), 3))
                 g[self.valid] = self.w * (s - piece_s / self.lab_counts)
                 g /= len(flows)
@@ -105,24 +99,23 @@ class RefRigidity:
 
 
 class RefTemporalConsistency:
-    def __init__(self, frame_set, n, multiplicity=1.0):
+    def __init__(self, frame_set, n):
         self.offsets = tuple(sorted(frame_set.offsets))
-        self.m = _column(multiplicity, n)
-        self.n = float(self.m.sum())
+        self.n = float(n)
 
     def __call__(self, flows, with_grad=False):
         n_t = len(self.offsets)
         vel = np.stack([flows[t].flows / t for t in self.offsets])
         vbar = vel.mean(axis=0)
         x = vbar[None] - vel
-        value = float((self.m * np.abs(x)).sum()) / (self.n * n_t)
+        value = float(np.abs(x).sum()) / (self.n * n_t)
         if not with_grad:
             return value, {}
         s = np.sign(x)
         s_sum = s.sum(axis=0)
         grads = {}
         for k, t in enumerate(self.offsets):
-            grads[t] = self.m * ((s_sum / (n_t * t) - s[k] / t) / (self.n * n_t))
+            grads[t] = (s_sum / (n_t * t) - s[k] / t) / (self.n * n_t)
         return value, grads
 
 
@@ -137,13 +130,6 @@ def _flows(rng, n, zero_rows=5):
         f[rng.random((n, 3)) < 0.05] = 0.0
     flows[1][:3] = flows[2][:3] / 2  # constant velocity: zero temporal deviation
     return flows
-
-
-def _multiplicities(rng, status):
-    """Non-integer weights on static rows, 1 on pseudo-dynamic rows."""
-    k = rng.uniform(0.5, 7.0, size=len(status))
-    k[rng.random(len(status)) < 0.3] = rng.integers(1, 9)
-    return np.where(status == DYNAMIC, 1.0, k)
 
 
 def _chamfer_scene(rng, kind, n=60):
@@ -163,6 +149,11 @@ def _as_sets(flows):
     return {t: PointFlowSet(t, f.copy()) for t, f in flows.items()}
 
 
+def _unit_ids(names):
+    """Case ids ending in "unit": every row of these terms weighs 1."""
+    return [f"{name}-unit" for name in names]
+
+
 def _assert_identical(res, ref, with_grad):
     value, grads = ref
     assert res.value == value
@@ -175,15 +166,13 @@ def _assert_identical(res, ref, with_grad):
         assert np.array_equal(res.grad[t], g), f"gradient differs at offset {t}"
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
-@pytest.mark.parametrize("kind", ["mixed", "plain", "static"])
+@pytest.mark.parametrize("kind", ["mixed", "plain", "static"], ids=_unit_ids(["mixed", "plain", "static"]))
 @pytest.mark.parametrize("with_grad", [False, True], ids=["value", "grad"])
-def test_masked_chamfer_matches_reference(kind, weighted, with_grad):
+def test_masked_chamfer_matches_reference(kind, with_grad):
     rng = np.random.default_rng(11)
     clouds, masks = _chamfer_scene(rng, kind)
-    m = _multiplicities(rng, masks[0].status) if weighted else 1.0
-    term = MaskedChamfer(clouds, masks, OFFSETS, m)
-    ref = RefMaskedChamfer(clouds, masks, OFFSETS, m)
+    term = MaskedChamfer(clouds, masks, OFFSETS)
+    ref = RefMaskedChamfer(clouds, masks, OFFSETS)
     if kind != "mixed":
         assert ref.stat_idx.size == {"plain": 0, "static": 60}[kind]
     n = len(clouds[0])
@@ -205,10 +194,12 @@ def test_masked_chamfer_matches_reference_on_nan_flow_without_target():
     _assert_identical(term(_as_sets(flows), True), ref(_as_sets(flows), True), True)
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
-@pytest.mark.parametrize("labels", ["with-unlabeled", "all-labeled", "none-labeled"])
+LABELS = ["with-unlabeled", "all-labeled", "none-labeled"]
+
+
+@pytest.mark.parametrize("labels", LABELS, ids=_unit_ids(LABELS))
 @pytest.mark.parametrize("with_grad", [False, True], ids=["value", "grad"])
-def test_rigidity_matches_reference(labels, weighted, with_grad):
+def test_rigidity_matches_reference(labels, with_grad):
     rng = np.random.default_rng(12)
     n, n_r = 70, 5
     lab = {
@@ -217,22 +208,21 @@ def test_rigidity_matches_reference(labels, weighted, with_grad):
         "none-labeled": np.full(n, -1),
     }[labels].astype(np.int32)
     pieces = RigidPieces(0, lab, 0 if labels == "none-labeled" else n_r)
-    m = rng.uniform(0.5, 7.0, size=n) if weighted else 1.0
-    term, ref = Rigidity(pieces, m), RefRigidity(pieces, m)
+    term, ref = Rigidity(pieces), RefRigidity(pieces)
     for _ in range(3):
         flows = _flows(rng, n)
         _assert_identical(term(_as_sets(flows), with_grad), ref(_as_sets(flows), with_grad), with_grad)
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
-@pytest.mark.parametrize("offsets", [OFFSETS, (1, 2), (-2, -1, 1, 2, 3)])
+@pytest.mark.parametrize(
+    "offsets", [OFFSETS, (1, 2), (-2, -1, 1, 2, 3)], ids=_unit_ids(["offsets0", "offsets1", "offsets2"])
+)
 @pytest.mark.parametrize("n", [1, 80])  # one row: a last-bit change shows in the value
 @pytest.mark.parametrize("with_grad", [False, True], ids=["value", "grad"])
-def test_temporal_consistency_matches_reference(offsets, weighted, n, with_grad):
+def test_temporal_consistency_matches_reference(offsets, n, with_grad):
     rng = np.random.default_rng(13)
     fs = FrameSet(offsets=offsets)
-    m = rng.uniform(0.5, 7.0, size=n) if weighted else 1.0
-    term, ref = TemporalConsistency(fs, n, m), RefTemporalConsistency(fs, n, m)
+    term, ref = TemporalConsistency(fs, n), RefTemporalConsistency(fs, n)
     for _ in range(10):
         flows = {t: rng.normal(scale=0.3, size=(n, 3)) for t in offsets}
         flows[offsets[-1]][:4] = 0.0
@@ -240,33 +230,19 @@ def test_temporal_consistency_matches_reference(offsets, weighted, n, with_grad)
 
 
 def test_cell_space_terms_match_reference(one_box):
-    """The terms as the optimizer sets them up, on a real scene's units."""
+    """The terms as the optimizer sets them up: one row per frame-0 point."""
     from bevss.optimizer import OptimConfig, cell_space, prepare_supervision
 
     bundle = prepare_supervision(one_box)
     space = cell_space(bundle, OptimConfig())
-    mc, pr, tc = space.mc, space.pr, space.tc
-    n = len(space.rows)
-    status = np.full(n, STATIC, dtype=np.uint8)
-    status[mc.dyn_idx] = DYNAMIC
-    m = np.ones(n)
-    m[mc.stat_idx] = mc.m_stat[:, 0]
-    points0 = np.zeros((n, 3))
-    points0[mc.dyn_idx] = mc.dyn_points
-    clouds = {0: PointCloud(0, points0)}
-    masks = {0: StaticDynamicMask(0, status)}
-    for t in OFFSETS:
-        target = mc.nn[t].b
-        clouds[t] = PointCloud(t, target)
-        masks[t] = StaticDynamicMask(t, np.full(len(target), DYNAMIC, dtype=np.uint8))
-    labels = np.full(n, -1, dtype=np.int32)
-    labels[pr.valid] = pr.lab
+    n = len(bundle.clouds[0])
+    assert space.flat.shape == (n, 3)
     refs = (
-        RefMaskedChamfer(clouds, masks, OFFSETS, m),
-        RefRigidity(RigidPieces(0, labels, pr.n_r), m),
-        RefTemporalConsistency(FrameSet(offsets=OFFSETS), n, m),
+        RefMaskedChamfer(bundle.clouds, bundle.pseudo_masks, OFFSETS),
+        RefRigidity(bundle.pieces),
+        RefTemporalConsistency(FrameSet(offsets=OFFSETS), n),
     )
     rng = np.random.default_rng(14)
     flows = _flows(rng, n, zero_rows=n // 3)
-    for term, ref in zip((mc, pr, tc), refs):
+    for term, ref in zip((space.mc, space.pr, space.tc), refs):
         _assert_identical(term(_as_sets(flows), True), ref(_as_sets(flows), True), True)

@@ -256,9 +256,20 @@ def test_smoothness_with_fixed_neighbors_is_unchanged(rng):
         smoothness(cloud, flows, k=4, neighbors=nbr)
 
 
+def _scene(rng, n=40):
+    status = rng.choice([STATIC, DYNAMIC, UNKNOWN], size=n, p=[0.6, 0.3, 0.1]).astype(np.uint8)
+    clouds = {0: PointCloud(0, rng.normal(size=(n, 3)))}
+    masks = {0: StaticDynamicMask(0, status)}
+    for t in OFFSETS:
+        clouds[t] = PointCloud(t, rng.normal(size=(n + 5, 3)))
+        masks[t] = StaticDynamicMask(t, (rng.random(n + 5) < 0.4).astype(np.uint8))
+    flows = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
+    return clouds, masks, flows
+
+
 def test_prebuilt_target_trees_change_nothing(rng):
     # The term's pairs come from its prebuilt target trees.
-    clouds, masks, flows = _weighted_scene(rng)
+    clouds, masks, flows = _scene(rng)
     term = MaskedChamfer(clouds, masks, OFFSETS)
     pairs = term.pairs(flow_sets(flows))
     for t in OFFSETS:
@@ -281,7 +292,7 @@ def _assert_same(res, ref):
 def test_terms_equal_public_functions_on_successive_flows(rng):
     # Cached setup arrays must survive evaluation: the first flow set,
     # evaluated again after a second one, gives the fresh result.
-    clouds, masks, _ = _weighted_scene(rng)
+    clouds, masks, _ = _scene(rng)
     n = len(clouds[0])
     pieces = RigidPieces(0, rng.integers(-1, 4, size=n).astype(np.int32), 4)
     fs = FrameSet(offsets=OFFSETS)
@@ -298,7 +309,7 @@ def test_terms_equal_public_functions_on_successive_flows(rng):
 
 
 def test_masked_chamfer_with_its_own_pairs_is_unchanged(rng):
-    clouds, masks, flows = _weighted_scene(rng)
+    clouds, masks, flows = _scene(rng)
     term = MaskedChamfer(clouds, masks, OFFSETS)
     pairs = term.pairs(flow_sets(flows))
     assert set(pairs) == set(OFFSETS)
@@ -376,7 +387,7 @@ def test_certificates_keep_a_margin_for_rounding(rng):
 
 
 def test_repeated_flows_reuse_every_pair(rng, monkeypatch):
-    clouds, masks, flows = _weighted_scene(rng)
+    clouds, masks, flows = _scene(rng)
     term = MaskedChamfer(clouds, masks, OFFSETS)
     ref = term.pairs(flow_sets(flows))
 
@@ -388,116 +399,6 @@ def test_repeated_flows_reuse_every_pair(rng, monkeypatch):
         for t in ref:
             assert all(np.array_equal(g, r) for g, r in zip(got[t], ref[t]))
     term(flow_sets(flows), with_grad=True)
-
-
-# --- multiplicities: a point with multiplicity k counts as k copies --------
-
-
-def _weighted_scene(rng, n=40):
-    status = rng.choice([STATIC, DYNAMIC, UNKNOWN], size=n, p=[0.6, 0.3, 0.1]).astype(np.uint8)
-    clouds = {0: PointCloud(0, rng.normal(size=(n, 3)))}
-    masks = {0: StaticDynamicMask(0, status)}
-    for t in OFFSETS:
-        clouds[t] = PointCloud(t, rng.normal(size=(n + 5, 3)))
-        masks[t] = StaticDynamicMask(t, (rng.random(n + 5) < 0.4).astype(np.uint8))
-    flows = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
-    return clouds, masks, flows
-
-
-def _copies(k):
-    """Entry index of every copy when entry i is repeated k[i] times."""
-    return np.repeat(np.arange(len(k)), k)
-
-
-def _assert_weighted_equals_expanded(weighted, expanded, k):
-    rep = _copies(k)
-    assert weighted.value == pytest.approx(expanded.value, rel=1e-12, abs=1e-15)
-    for t, g in weighted.grad.items():
-        summed = np.zeros_like(g)
-        np.add.at(summed, rep, expanded.grad[t])
-        np.testing.assert_allclose(g, summed, rtol=1e-12, atol=1e-15)
-
-
-def test_masked_chamfer_multiplicity_equals_copies(rng):
-    clouds, masks, flows = _weighted_scene(rng)
-    status = masks[0].status
-    k = np.where(status == DYNAMIC, 1, rng.integers(1, 5, size=len(status)))
-    rep = _copies(k)
-    weighted = MaskedChamfer(clouds, masks, OFFSETS, k)(flow_sets(flows), with_grad=True)
-    clouds_x = {**clouds, 0: PointCloud(0, clouds[0].points[rep])}
-    masks_x = {**masks, 0: StaticDynamicMask(0, status[rep])}
-    flows_x = {t: f[rep] for t, f in flows.items()}
-    expanded = masked_chamfer(clouds_x, masks_x, flow_sets(flows_x), with_grad=True)
-    _assert_weighted_equals_expanded(weighted, expanded, k)
-
-
-def test_rigidity_multiplicity_equals_copies(rng):
-    n = 40
-    labels = rng.integers(-1, 4, size=n).astype(np.int32)
-    k = rng.integers(1, 5, size=n)
-    flows = {t: rng.normal(size=(n, 3)) for t in OFFSETS}
-    rep = _copies(k)
-    weighted = Rigidity(RigidPieces(0, labels, 4), k)(flow_sets(flows), True)
-    expanded = rigidity(
-        RigidPieces(0, labels[rep], 4), flow_sets({t: f[rep] for t, f in flows.items()}), True
-    )
-    _assert_weighted_equals_expanded(weighted, expanded, k)
-
-
-def test_temporal_consistency_multiplicity_equals_copies(rng):
-    n = 40
-    k = rng.integers(1, 5, size=n)
-    flows = {t: rng.normal(size=(n, 3)) for t in OFFSETS}
-    rep = _copies(k)
-    fs = FrameSet(offsets=OFFSETS)
-    weighted = TemporalConsistency(fs, n, k)(flow_sets(flows), True)
-    expanded = temporal_consistency(flow_sets({t: f[rep] for t, f in flows.items()}), fs, True)
-    _assert_weighted_equals_expanded(weighted, expanded, k)
-
-
-def test_unit_multiplicities_are_bit_identical(rng):
-    clouds, masks, flows = _weighted_scene(rng)
-    n = len(clouds[0])
-    ones = np.ones(n)
-    pieces = RigidPieces(0, rng.integers(-1, 4, size=n).astype(np.int32), 4)
-    fs = FrameSet(offsets=OFFSETS)
-    losses = [
-        (
-            lambda: masked_chamfer(clouds, masks, flow_sets(flows), True),
-            MaskedChamfer(clouds, masks, OFFSETS, ones),
-        ),
-        (lambda: rigidity(pieces, flow_sets(flows), True), Rigidity(pieces, ones)),
-        (lambda: temporal_consistency(flow_sets(flows), fs, True), TemporalConsistency(fs, n, ones)),
-    ]
-    for loss, term in losses:
-        ref, res = loss(), term(flow_sets(flows), True)
-        assert res.value == ref.value
-        for t in OFFSETS:
-            np.testing.assert_array_equal(res.grad[t], ref.grad[t])
-
-
-@pytest.mark.parametrize("bad", ["short", "zero", "negative", "nan", "dynamic-two", "scalar-zero"])
-def test_multiplicity_validation(rng, bad):
-    clouds, masks, flows = _weighted_scene(rng)
-    n = len(clouds[0])
-    k = np.ones(n)
-    if bad == "short":
-        k = k[:-1]
-    elif bad == "scalar-zero":
-        k = 0.0
-    elif bad == "dynamic-two":
-        k[np.flatnonzero(masks[0].status == DYNAMIC)[0]] = 2.0
-    else:
-        value = {"zero": 0.0, "negative": -1.0, "nan": np.nan}[bad]
-        k[np.flatnonzero(masks[0].status == STATIC)[0]] = value
-    with pytest.raises(ValueError, match="multiplicit"):
-        MaskedChamfer(clouds, masks, OFFSETS, k)
-    if bad != "dynamic-two":
-        pieces = RigidPieces(0, np.zeros(n, dtype=np.int32), 1)
-        with pytest.raises(ValueError, match="multiplicit"):
-            Rigidity(pieces, k)
-        with pytest.raises(ValueError, match="multiplicit"):
-            TemporalConsistency(FrameSet(), n, k)
 
 
 def test_gradcheck_builds_each_term_once_per_instance(monkeypatch):

@@ -149,13 +149,10 @@ def _assert_matches_point_oracle(bundle, cfg, seed=0):
     ):
         components, grads = _dense_loss_and_gradients(space, fields)
         ref_components, ref_grads = _point_field_loss_and_gradients(bundle, fields, cfg)
-        assert components.keys() == ref_components.keys()
-        for key, ref in ref_components.items():
-            assert components[key] == pytest.approx(ref, rel=1e-12, abs=0.0), key
+        assert components == ref_components
         assert grads.keys() == ref_grads.keys()
         for t, ref in ref_grads.items():
-            scale = float(np.abs(ref).max())
-            np.testing.assert_allclose(grads[t], ref, rtol=1e-12, atol=1e-15 * scale)
+            assert np.array_equal(grads[t], ref), f"gradient differs at offset {t}"
 
 
 def test_cell_space_matches_point_oracle_one_box_full(supervised):
@@ -186,12 +183,12 @@ def test_cell_space_matches_point_oracle_out_of_grid_points(supervised):
 
 
 def test_cell_space_assigns_cell_motion(one_box, monkeypatch):
-    # The flows the terms see: a unit in a moving cell takes its planar
+    # The flows the terms see: a point in a moving cell takes its planar
     # motion with zero vertical; a zero cell and an out-of-grid point read 0.
     bundle = copy.copy(one_box)
     points = [[0.1, 0.1, 0.0], [10.0, 10.0, 0.0], [100.0, 0.0, 0.0]]
     bundle.clouds = {**one_box.clouds, 0: PointCloud(0, np.array(points))}
-    cfg = OptimConfig(**PLAIN)  # every point is its own unit, in order
+    cfg = OptimConfig(**PLAIN)
     space = cell_space(bundle, cfg)
     values = np.zeros((bundle.grid.cells_x, bundle.grid.cells_y, 2))
     values[128, 128] = (1.5, -0.5)  # the cell of the first point
@@ -239,13 +236,13 @@ def test_optimize_matches_point_oracle_descent(supervised, config):
         for t in ref:
             ref[t] -= cfg.learning_rate * grads[t] / denom
     fields, report = optimize(supervised, cfg)
-    assert [e["total"] for e in report.trajectory] == pytest.approx(totals, rel=1e-12)
+    assert [e["total"] for e in report.trajectory] == totals
     for t in ref:
-        np.testing.assert_allclose(fields[t].values, ref[t], rtol=0.0, atol=1e-12)
+        assert np.array_equal(fields[t].values, ref[t]), f"field differs at offset {t}"
     # The last update follows the last entry; final is the loss at the
     # returned fields.
     final, _ = _point_field_loss_and_gradients(supervised, ref, cfg)
-    assert report.final == pytest.approx(final, rel=1e-12)
+    assert report.final == final
     assert report.final["total"] != report.trajectory[-1]["total"]
 
 
