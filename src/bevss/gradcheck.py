@@ -98,7 +98,7 @@ def check_rigidity(rng: np.random.Generator, n: int = 50, step: float = 1e-4) ->
 
 
 def check_temporal(rng: np.random.Generator, n: int = 50, step: float = 1e-4) -> float:
-    term = TemporalConsistency(FrameSet(offsets=OFFSETS), n)
+    term = TemporalConsistency(FrameSet(offsets=OFFSETS))
     return _check_term(term, {t: rng.normal(size=(n, 3)) for t in OFFSETS}, step)
 
 

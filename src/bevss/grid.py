@@ -32,7 +32,7 @@ class BevGridSpec:
             raise ValueError("grid extents and cell_size must be finite")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+        if self.x_max <= self.x_min or self.y_max <= self.y_min or self.z_max <= self.z_min:
             raise ValueError("empty grid extents")
 
     @property

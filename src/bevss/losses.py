@@ -103,19 +103,25 @@ def chamfer(a: PointCloud, b: PointCloud, with_grad: bool = False, pairs=None) -
 TIE = 1e-9  # distance margin (m) under which two neighbors count as tied
 
 
-def _nearest(tree: cKDTree, x: np.ndarray):
-    """(index, first distance, second distance) of each row's nearest points.
+def _untie(idx: np.ndarray, d1: np.ndarray, d2: np.ndarray, x: np.ndarray, tree):
+    """(index, first distance, second distance) of each row of x, from the
+    index and the two distances of its nearest points.
 
     The index is that of a plain k=1 query: on a tie, cKDTree's k=2 query
     may list the tied points in another order, so rows whose two distances
-    lie within TIE take their index from a k=1 query.
+    lie within TIE take their index from a k=1 query on tree(), a tree of
+    every candidate point.
     """
-    d, i = tree.query(x, k=2)
-    idx = i[:, 0]
-    tie = ~(d[:, 1] - d[:, 0] > TIE)
+    tie = ~(d2 - d1 > TIE)
     if tie.any():
-        idx[tie] = tree.query(x[tie])[1]
-    return idx, d[:, 0], d[:, 1]
+        idx[tie] = tree().query(x[tie])[1]
+    return idx, d1, d2
+
+
+def _nearest(tree: cKDTree, x: np.ndarray):
+    """(index, first distance, second distance) of each row's nearest points."""
+    d, i = tree.query(x, k=2)
+    return _untie(i[:, 0], d[:, 0], d[:, 1], x, lambda: tree)
 
 
 class _CertifiedPairs:
@@ -128,33 +134,105 @@ class _CertifiedPairs:
     b->a: S sums, over calls, the largest movement of any moving point; a
     target point keeps its neighbor i if |b - a[i]| < e2 - (S - S_anchor)
     - TIE, e2 being its second distance and S_anchor the value of S at its
-    last query. The first call, a large jump or a tie fails the tests, so
+    last query. Each point is first queried at construction and each
+    target at the first call; a large jump or a tie fails the tests, so
     the pairs equal chamfer_pairs(a, b) whatever the call history.
+
+    Fixed points: the points that have stayed bit for bit at their
+    construction positions at every call so far (a set that only shrinks)
+    cost nothing per call. Each was queried against the target once, at
+    construction, and a query at the same position gives the same pair, so
+    the a->b test, the movement S (a fixed point moves by 0) and
+    |b - a[i]| run over the other rows only; |b - a[i]| is kept from the
+    last query for a target whose neighbor i is fixed. A b->a re-query
+    takes the two nearest fixed points of the target, found for every
+    target by one tree query the first time they are needed after the
+    fixed set shrank, and the two nearest of the other rows, from a tree
+    of those rows alone. The best two of the four are the two nearest of
+    all, with the same distances, and a tie is broken by a k=1 query on
+    cKDTree(a) as before, so the pairs stay exact. The split pays only
+    while the fixed points outnumber the others; once they do not, it is
+    dropped for good and every call runs the all-rows path. In the
+    synthetic scenes a static point repeats bit for bit in every frame,
+    so its flow stays exactly 0; a masked config warps only
+    pseudo-dynamic points, which all move.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.b, self.tree_b = b, cKDTree(b)
-        self.prev = a  # the moving points at the previous call
+        self.base = self.prev = a  # construction positions; the points at the previous call
         self.anchor = a.copy()  # each point's position at its last a->b query
-        self.a_to_b = np.zeros(len(a), dtype=np.intp)
-        self.gap = np.full(len(a), -np.inf)  # -inf: never certified yet
+        idx, d1, d2 = _nearest(self.tree_b, a)  # every point, at its construction position
+        self.a_to_b, self.gap = idx.copy(), d2 - d1
         self.s = 0.0
         self.b_to_a = np.zeros(len(b), dtype=np.intp)
-        self.e2 = np.full(len(b), -np.inf)
+        self.e2 = np.full(len(b), -np.inf)  # -inf: never certified yet
         self.s_anchor = np.zeros(len(b))
+        self.e1 = np.zeros(len(b))  # |b - a[b_to_a]| at the last query
+        self.fixed = np.ones(len(a), dtype=bool)  # None once the split is dropped
+        self.rows = np.zeros(0, dtype=np.intp)  # the rows that are not fixed, or all
+        # Per target: distances to its two nearest fixed points, index of the nearest.
+        self.near_f = None
+
+    def _shrink(self, a: np.ndarray):
+        """Drop the fixed points that have left their construction position."""
+        ne = a != self.base
+        left = (ne[:, 0] | ne[:, 1] | ne[:, 2]) & self.fixed  # faster than any(axis=1)
+        if left.any():
+            self.fixed &= ~left
+            self.near_f = None
+            if 2 * np.count_nonzero(self.fixed) > len(self.fixed):
+                self.rows = np.flatnonzero(~self.fixed)
+            else:  # the split pays only while the fixed points outnumber the others
+                self.fixed, self.rows = None, slice(None)
+
+    def _two_nearest(self, a: np.ndarray, x: np.ndarray, redo: np.ndarray):
+        """_nearest(cKDTree(a), x) for the targets x = b[redo], from the two
+        nearest fixed points of each target, found once per fixed set, and
+        the two nearest of a tree of the other rows. A k=2 query on a tree
+        of one point gives an inf second distance."""
+        if self.near_f is None:
+            f_idx = np.flatnonzero(self.fixed)
+            d, i = cKDTree(self.base[f_idx]).query(self.b, k=2)
+            self.near_f = d, f_idx[i[:, 0]]
+        d, idx = self.near_f[0][redo], self.near_f[1][redo]
+        d1, d2 = d[:, 0], d[:, 1]
+        if len(self.rows):
+            dm, im = cKDTree(a[self.rows]).query(x, k=2)
+            f = d1 <= dm[:, 0]  # the nearest point is a fixed one
+            idx = np.where(f, idx, self.rows[im[:, 0]])
+            d2 = np.where(f, np.minimum(d2, dm[:, 0]), np.minimum(d1, dm[:, 1]))
+            d1 = np.where(f, d1, dm[:, 0])
+        return _untie(idx, d1, d2, x, lambda: cKDTree(a))
 
     def __call__(self, a: np.ndarray):
-        redo = ~(2.0 * np.linalg.norm(a - self.anchor, axis=1) < self.gap - TIE)
+        if self.fixed is not None:
+            self._shrink(a)
+        rows = self.rows
+        am = a[rows]
+        redo = ~(2.0 * np.linalg.norm(am - self.anchor[rows], axis=1) < self.gap[rows] - TIE)
         if redo.any():
-            idx, d1, d2 = _nearest(self.tree_b, a[redo])
-            self.a_to_b[redo], self.gap[redo], self.anchor[redo] = idx, d2 - d1, a[redo]
+            at = redo if self.fixed is None else rows[redo]
+            idx, d1, d2 = _nearest(self.tree_b, am[redo])
+            self.a_to_b[at], self.gap[at], self.anchor[at] = idx, d2 - d1, am[redo]
 
-        self.s += float(np.linalg.norm(a - self.prev, axis=1).max())
+        if len(am):
+            self.s += float(np.linalg.norm(am - self.prev[rows], axis=1).max())
         self.prev = a
-        e1 = np.linalg.norm(self.b - a[self.b_to_a], axis=1)
+        if self.fixed is None:
+            e1 = np.linalg.norm(self.b - a[self.b_to_a], axis=1)
+        else:
+            e1 = self.e1
+            moved = ~self.fixed[self.b_to_a]  # targets whose neighbor is not fixed
+            e1[moved] = np.linalg.norm(self.b[moved] - a[self.b_to_a[moved]], axis=1)
         redo = ~(e1 < self.e2 - (self.s - self.s_anchor) - TIE)
         if redo.any():
-            idx, _, e2 = _nearest(cKDTree(a), self.b[redo])
+            x = self.b[redo]
+            if self.fixed is None:
+                idx, _, e2 = _nearest(cKDTree(a), x)
+            else:
+                idx, _, e2 = self._two_nearest(a, x, redo)
+                e1[redo] = np.linalg.norm(x - a[idx], axis=1)
             self.b_to_a[redo], self.e2[redo], self.s_anchor[redo] = idx, e2, self.s
         return self.a_to_b.copy(), self.b_to_a.copy()
 
@@ -296,17 +374,16 @@ class Rigidity:
 class TemporalConsistency:
     """Mean absolute deviation of per-frame velocities from their mean.
 
-    Evaluates the offsets of frame_set for n points. Displacements are
-    divided by their signed offset, so a backward frame contributes a
-    forward velocity and constant-velocity motion is the exact zero of the
-    loss.
+    Evaluates the offsets of frame_set, averaged over the points of the
+    flows it is called with. Displacements are divided by their signed
+    offset, so a backward frame contributes a forward velocity and
+    constant-velocity motion is the exact zero of the loss.
     """
 
-    def __init__(self, frame_set: FrameSet, n: int):
+    def __init__(self, frame_set: FrameSet):
         self.offsets = tuple(sorted(frame_set.offsets))
         if len(self.offsets) < 2:
             raise ValueError("temporal consistency needs at least two offsets")
-        self.n = float(n)
 
     def __call__(self, flows: dict, with_grad: bool = False) -> LossValue:
         if flows.keys() != set(self.offsets):
@@ -317,7 +394,7 @@ class TemporalConsistency:
             np.divide(flows[t].flows, t, out=x[k])  # velocities
         np.subtract(x.mean(axis=0), x, out=x)  # deviations of the mean from each
         a = np.abs(x)
-        norm = self.n * n_t
+        norm = float(x.shape[1]) * n_t
         value = float(a.sum()) / norm
         if not with_grad:
             return LossValue(value)
@@ -344,8 +421,7 @@ def temporal_consistency(
 ) -> LossValue:
     """TemporalConsistency over frame_set.offsets, evaluated once; the keys
     of flows must be those offsets."""
-    n = len(next(iter(flows.values()), ()))
-    return TemporalConsistency(frame_set, n)(flows, with_grad)
+    return TemporalConsistency(frame_set)(flows, with_grad)
 
 
 def smoothness_neighbors(points: np.ndarray, k: int) -> np.ndarray:

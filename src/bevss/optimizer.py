@@ -145,7 +145,7 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         weights=w,
         mc=MaskedChamfer(bundle.clouds, masks, offsets),
         pr=Rigidity(bundle.pieces) if use_pieces else None,
-        tc=TemporalConsistency(cfg.frame_set, len(points0)) if w.lambda_tc > 0 else None,
+        tc=TemporalConsistency(cfg.frame_set) if w.lambda_tc > 0 else None,
     )
 
 

@@ -30,6 +30,13 @@ def test_spec_validation():
         BevGridSpec(x_min=1.0, x_max=-1.0)
 
 
+@pytest.mark.parametrize("z_min, z_max", [(2.0, -3.0), (0.5, 0.5)])
+def test_spec_rejects_empty_z_extent(z_min, z_max):
+    # No point would be binned: cell_indices marks every point out of range.
+    with pytest.raises(ValueError, match="empty grid extents"):
+        BevGridSpec(z_min=z_min, z_max=z_max)
+
+
 @pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "cell_size"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_spec_rejects_non_finite_values(field, value):

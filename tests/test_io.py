@@ -233,12 +233,13 @@ def _nan_interval(out):
         _edit_manifest_line("frame_interval:", ": 0.5"),
         _zero_offset,
         _nan_interval,
+        _edit_manifest_line("grid:", "grid: -32 32 -32 32 2 -3 0.25"),
         _label_beyond_piece_count,
         _non_utf8_line,
     ],
     ids=[
         "frames", "velocities", "proj", "cloud-index", "size", "no-key", "zero-offset", "nan-interval",
-        "seg-label", "non-utf8",
+        "z-extent", "seg-label", "non-utf8",
     ],
 )
 def test_malformed_scene_raises_named_io_error(tmp_path, one_box, corrupt):

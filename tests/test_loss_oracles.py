@@ -222,7 +222,7 @@ def test_rigidity_matches_reference(labels, with_grad):
 def test_temporal_consistency_matches_reference(offsets, n, with_grad):
     rng = np.random.default_rng(13)
     fs = FrameSet(offsets=offsets)
-    term, ref = TemporalConsistency(fs, n), RefTemporalConsistency(fs, n)
+    term, ref = TemporalConsistency(fs), RefTemporalConsistency(fs, n)
     for _ in range(10):
         flows = {t: rng.normal(scale=0.3, size=(n, 3)) for t in offsets}
         flows[offsets[-1]][:4] = 0.0

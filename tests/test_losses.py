@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from bevss.grid import FrameSet, PointCloud, PointFlowSet
 from bevss.losses import (
     LossWeights,
+    _CertifiedPairs,
     MaskedChamfer,
     Rigidity,
     TemporalConsistency,
@@ -299,7 +301,7 @@ def test_terms_equal_public_functions_on_successive_flows(rng):
     terms = [
         (MaskedChamfer(clouds, masks, OFFSETS), lambda f: masked_chamfer(clouds, masks, f, True)),
         (Rigidity(pieces), lambda f: rigidity(pieces, f, True)),
-        (TemporalConsistency(fs, n), lambda f: temporal_consistency(f, fs, True)),
+        (TemporalConsistency(fs), lambda f: temporal_consistency(f, fs, True)),
     ]
     first = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
     second = {t: rng.normal(scale=0.3, size=(n, 3)) for t in OFFSETS}
@@ -399,6 +401,129 @@ def test_repeated_flows_reuse_every_pair(rng, monkeypatch):
         for t in ref:
             assert all(np.array_equal(g, r) for g, r in zip(got[t], ref[t]))
     term(flow_sets(flows), with_grad=True)
+
+
+# --- fixed points: the rows still at their construction positions ---------
+
+
+def _assert_fresh(nn, a):
+    """A call of the pair state at a returns fresh chamfer_pairs."""
+    got = nn(a)
+    for g, r in zip(got, chamfer_pairs(a, nn.b)):
+        np.testing.assert_array_equal(g, r)
+
+
+def _plain_descent(bundle, monkeypatch, around):
+    """A 40-iteration plain-config descent of bundle (41 pair calls per
+    offset, with the final evaluation) in which around(state, a, call)
+    makes each pair call as call(state, a)."""
+    from bevss.optimizer import OptimConfig, optimize
+
+    call = _CertifiedPairs.__call__
+    monkeypatch.setattr(_CertifiedPairs, "__call__", lambda self, a: around(self, a, call))
+    weights = LossWeights(lambda_pr=0.0, lambda_tc=0.0)
+    cfg = OptimConfig(max_iters=40, use_mask=False, weights=weights, convergence_tol=0.0)
+    optimize(bundle, cfg)
+
+
+def test_certified_pairs_follow_a_plain_descent(two_box, monkeypatch):
+    # Most two-box points repeat bit for bit in every frame and never move.
+    split = []
+
+    def check(nn, a, call):
+        got = call(nn, a)
+        for g, r in zip(got, chamfer_pairs(a, nn.b)):
+            np.testing.assert_array_equal(g, r)
+        if nn.fixed is not None:
+            split.append(int(nn.fixed.sum()))
+        return got
+
+    _plain_descent(two_box, monkeypatch, check)
+    assert len(split) == 3 * 41 and 0 < min(split) < max(split) == len(two_box.clouds[0])
+
+
+def test_plain_descent_builds_no_tree_of_every_warped_point_per_call(two_box, monkeypatch):
+    # Only the first call of each offset needs a tree of all its points:
+    # they are all fixed then. Without the split, every pair call that
+    # re-queries a target point builds one, here every call.
+    real, sizes, full = cKDTree, [], []  # warped points per pair call; full-size trees
+
+    def counting_tree(data, *args, **kwargs):
+        if sizes and len(data) == sizes[-1]:
+            full.append(len(sizes))
+        return real(data, *args, **kwargs)
+
+    def count(nn, a, call):
+        sizes.append(len(a))
+        return call(nn, a)
+
+    monkeypatch.setattr("bevss.losses.cKDTree", counting_tree)
+    _plain_descent(two_box, monkeypatch, count)
+    assert len(sizes) == 3 * 41
+    assert len(full) <= 3, f"{len(full)} trees of all warped points"
+
+
+def test_certified_pairs_resplit_when_a_fixed_point_moves(rng):
+    n = 60
+    points0, target = rng.random(size=(n, 3)), rng.random(size=(n, 3))
+    nn = _CertifiedPairs(points0, target)
+    a = points0.copy()
+    fixed = [n]
+    for k in range(14):
+        if k >= 2:
+            a[:5] += rng.normal(scale=0.02, size=(5, 3))  # rows 0-4 move from call 3 on
+        if k >= 6:
+            a[40] += rng.normal(scale=0.05, size=3)  # row 40 leaves at call 7
+        if k >= 10:
+            a[5:35] += rng.normal(scale=0.02, size=(30, 3))  # now most rows move
+        _assert_fresh(nn, a.copy())
+        fixed.append(None if nn.fixed is None else int(nn.fixed.sum()))
+    # The split is dropped once the fixed points no longer outnumber the others.
+    assert fixed == [n] * 3 + [n - 5] * 4 + [n - 6] * 4 + [None] * 4
+
+
+def test_certified_pairs_with_every_point_displaced_at_the_first_call(rng):
+    n = 60
+    points0, target = rng.random(size=(n, 3)), rng.random(size=(n, 3))
+    nn = _CertifiedPairs(points0, target)
+    a = points0 + rng.normal(scale=0.02, size=(n, 3))
+    for _ in range(10):
+        _assert_fresh(nn, a.copy())
+        assert nn.fixed is None
+        a += rng.normal(scale=0.02, size=(n, 3))
+
+
+def test_certified_pairs_with_a_part_of_one_point():
+    # A k=2 query on a tree of one point returns an inf second distance.
+    target = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [-2.0, 1.0, 0.0]])
+    one = np.array([[1.0, 0.0, 0.0]])
+    nn = _CertifiedPairs(one, target)  # a fixed part of one point, nothing else
+    for _ in range(3):
+        _assert_fresh(nn, one.copy())
+    assert nn.fixed.tolist() == [True]
+    # A moving part of one point, which passes the fixed ones back and forth.
+    points0 = np.array([[1.0, 0.0, 0.0], [-2.0, 3.0, 0.0], [5.0, 0.0, 0.0]])
+    nn = _CertifiedPairs(points0, target)
+    for x in (5.0, 4.0, 0.5, -1.5, 2.5, 3.0, -0.25):
+        a = points0.copy()
+        a[2, 0] = x
+        _assert_fresh(nn, a)
+    assert nn.fixed.tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("moving", [0, 1])
+def test_certified_pairs_with_a_fixed_and_a_moving_point_tied(moving):
+    # The moving point steps onto the mirror image of the fixed point at
+    # (1, 0, 0), so both lie exactly 1 m from the target point at the origin.
+    target = np.array([[0.0, 0.0, 0.0], [4.0, 4.0, 0.0]])
+    points0 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 6.0, 0.0]])
+    points0[moving] = (-3.0, 0.0, 0.0)
+    nn = _CertifiedPairs(points0, target)
+    for x in (-3.0, -2.0, -1.0, -1.0, -0.5, -1.0):
+        a = points0.copy()
+        a[moving, 0] = x
+        _assert_fresh(nn, a)
+    assert nn.fixed.tolist() == [moving != 0, moving != 1, True]
 
 
 def test_gradcheck_builds_each_term_once_per_instance(monkeypatch):
