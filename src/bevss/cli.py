@@ -33,6 +33,10 @@ def _weights(args) -> LossWeights:
     return LossWeights(args.lambda_mc, args.lambda_pr, args.lambda_tc)
 
 
+def _add_no_mask_arg(p):
+    p.add_argument("--no-mask", action="store_true", help="plain Chamfer on full clouds")
+
+
 def _add_lambda_args(p):
     w = LossWeights()
     p.add_argument("--lambda-mc", type=float, default=w.lambda_mc)
@@ -104,21 +108,21 @@ def cmd_labels(args) -> int:
     return 0
 
 
-def _load_pred_fields(pred_dir: str, bundle):
+def _saved_objective(bundle, cfg: OptimConfig, pred_dir: str) -> dict:
+    """Loss components of cfg's objective at the fields saved in pred_dir."""
+    space = cell_space(bundle, cfg)
     fields = {}
-    for t in bundle.frame_set.offsets:
-        fields[t] = fileio.load_field(fileio.field_path(pred_dir, t), bundle.grid)
-    return fields
+    for t in cfg.frame_set.offsets:  # only the occupied cells of each are kept
+        fields[t] = fileio.load_field(fileio.field_path(pred_dir, t), bundle.grid).values[space.cells]
+    components, _ = field_loss_and_gradients(space, fields)
+    return components
 
 
 def cmd_loss(args) -> int:
     bundle = fileio.load_scene(args.scene)
     _supervision(bundle, args)
-    space = cell_space(bundle, OptimConfig(frame_set=bundle.frame_set, weights=_weights(args)))
-    fields = _load_pred_fields(args.pred, bundle)
-    components, _ = field_loss_and_gradients(
-        space, {t: fld.values[space.cells] for t, fld in fields.items()}
-    )
+    cfg = OptimConfig(frame_set=bundle.frame_set, weights=_weights(args), use_mask=not args.no_mask)
+    components = _saved_objective(bundle, cfg, args.pred)
     for key in ("mc", "pr", "tc", "total"):
         print(f"{key}: {_fmt(components[key])}")
     return 0
@@ -141,7 +145,9 @@ def cmd_optimize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for t, fld in fields.items():
         fileio.save_field(fileio.field_path(args.out, t), fld)
-    final = report.final
+    # The loss at the saved fields, which hold float32: near a zero loss
+    # their rounding moves it by more than 1e-6 of report.final.
+    final = _saved_objective(bundle, cfg, args.out)
     lines = [
         f"iterations={report.iterations}",
         f"converged={str(report.converged).lower()}",
@@ -151,6 +157,8 @@ def cmd_optimize(args) -> int:
         f"loss_mc={_fmt(final['mc'])}",
         f"loss_pr={_fmt(final['pr'])}",
         f"loss_tc={_fmt(final['tc'])}",
+        f"use_mask={str(cfg.use_mask).lower()}",
+        f"seeded_cells={report.seeded_cells}",
     ]
     with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -264,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_args(p)
     _add_lambda_args(p)
     p.add_argument("--pred", required=True, help="directory with BEV1 field files")
+    _add_no_mask_arg(p)
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("optimize", help="fit BEV fields by gradient descent")
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=defaults.max_iters)
     p.add_argument("--lr", type=float, default=defaults.learning_rate)
     p.add_argument("--frames", default=None)
-    p.add_argument("--no-mask", action="store_true", help="plain Chamfer on full clouds")
+    _add_no_mask_arg(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("eval", help="speed-bucketed errors against ground truth")

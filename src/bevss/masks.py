@@ -56,29 +56,27 @@ def classify(f2d: np.ndarray, f3d: np.ndarray, thr: MaskThresholds) -> np.ndarra
     return np.where(static, STATIC, DYNAMIC).astype(np.uint8)
 
 
-def build_mask(
+def lift_frame(
     cloud: PointCloud,
     flow_imgs: list[FlowImage],
     cam_pairs: list[tuple[CalibratedCamera, CalibratedCamera]],
-    thr: MaskThresholds,
-) -> StaticDynamicMask:
-    """Classify every point of the cloud from multi-camera optical flow.
+):
+    """Each point's residual pixel flow and its lifted planar displacement.
 
     cam_pairs[k] holds the camera that produced flow_imgs[k] at frames t
     and t+dt. Cameras are tried in order; the first valid projection
-    supplies the flows. Invisible points stay UNKNOWN.
+    supplies the flows. Returns (idx, f2d, f3d): the (M,) indices of the
+    points some camera sees, in camera order, their (M,2) residual flows
+    and their (M,3) lifts over t -> t+dt, NaN where the lift fails.
     """
     if not flow_imgs:
         raise ValueError("empty camera list")
     if len(flow_imgs) != len(cam_pairs):
         raise ValueError("calibration must cover every flow image")
 
-    n = len(cloud)
-    status = np.full(n, UNKNOWN, dtype=np.uint8)
-    assigned = np.zeros(n, dtype=bool)
-
+    todo = np.ones(len(cloud), dtype=bool)
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros((0, 2)), np.zeros((0, 3)))]  # no point seen
     for flow_img, (cam_t, cam_next) in zip(flow_imgs, cam_pairs):
-        todo = ~assigned
         if not np.any(todo):
             break
         idx = np.nonzero(todo)[0]
@@ -98,8 +96,24 @@ def build_mask(
         total = flow_img.data[v, u].astype(np.float64)
         f2d = total - (uv_next - uv)
 
-        status[idx] = classify(f2d, lift_flow_many(f2d, pts, cam_t), thr)
-        assigned[idx] = True
+        parts.append((idx, f2d, lift_flow_many(f2d, pts, cam_t)))
+        todo[idx] = False
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def build_mask(
+    cloud: PointCloud,
+    flow_imgs: list[FlowImage],
+    cam_pairs: list[tuple[CalibratedCamera, CalibratedCamera]],
+    thr: MaskThresholds,
+) -> StaticDynamicMask:
+    """Classify every point of the cloud from multi-camera optical flow.
+
+    The flows are those of lift_frame; points no camera sees stay UNKNOWN.
+    """
+    idx, f2d, f3d = lift_frame(cloud, flow_imgs, cam_pairs)
+    status = np.full(len(cloud), UNKNOWN, dtype=np.uint8)
+    status[idx] = classify(f2d, f3d, thr)
 
     # Ground override: height rule wins over any flow evidence.
     ground = cloud.points[:, 2] < thr.ground_z

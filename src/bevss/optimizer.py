@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import BevGridSpec, BevMotionField, FrameSet, PointFlowSet, cell_keys
 from .losses import LossWeights, MaskedChamfer, Rigidity, TemporalConsistency
-from .masks import DYNAMIC, MaskThresholds, StaticDynamicMask, build_mask
+from .masks import DYNAMIC, UNKNOWN, MaskThresholds, StaticDynamicMask, build_mask, lift_frame
 from .pieces import PieceParams, build_pieces
 from .scene import SceneBundle
 
@@ -59,6 +59,7 @@ class OptimReport:
     wall_time_s: float
     converged: bool
     stop_reason: str  # "tol", "max_iters" or "diverged"
+    seeded_cells: int  # cells whose fields started away from zero
 
 
 def prepare_supervision(
@@ -122,7 +123,7 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         masks = {t: StaticDynamicMask(t, np.full(len(bundle.clouds[t]), DYNAMIC, np.uint8)) for t in (0, *offsets)}
     w = cfg.weights
     use_pieces = w.lambda_pr > 0
-    if use_pieces:
+    if use_pieces or cfg.use_mask:  # the seed of a masked config reads the pieces too
         if bundle.pieces is None:
             raise ValueError("missing rigid pieces")
         if len(bundle.pieces) != len(bundle.clouds[0]):
@@ -191,26 +192,87 @@ def field_loss_and_gradients(space: CellSpace, fields: dict):
     return components, cell_grads
 
 
+def _group_median(group: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """(n, 2) column-wise medians of the rows of the (m, 2) array x in each
+    group 0..n-1; NaN for a group with no row."""
+    counts = np.bincount(group, minlength=n)
+    start = np.cumsum(counts) - counts
+    has = counts > 0
+    lo, hi = (start + (counts - 1) // 2)[has], (start + counts // 2)[has]
+    out = np.full((n, 2), np.nan)
+    for c in range(2):
+        s = x[np.lexsort((x[:, c], group)), c]
+        out[has, c] = (s[lo] + s[hi]) / 2
+    return out
+
+
+def seed_velocity(bundle: SceneBundle, space: CellSpace) -> np.ndarray:
+    """(n_occupied, 2) planar velocity, meters per frame, from which each
+    cell of a masked descent starts: the camera flow of frame 0, lifted by
+    lift_frame, pooled over rigid pieces and then over cells.
+
+    A piece seeds only when more than half of its classified points are
+    pseudo-dynamic; each of those points then takes the median lift of
+    the piece's pseudo-dynamic points, leaving out lifts that failed. A
+    cell takes the median over its seeded points. Every other cell, and
+    so every cell of a point with no piece, starts at 0.
+    """
+    status = bundle.pseudo_masks[0].status
+    labels, n_pieces = bundle.pieces.labels, bundle.pieces.piece_count
+    idx, _, f3d = lift_frame(bundle.clouds[0], bundle.frame_flows(0), bundle.cam_pair(0))
+    lifted = np.full((len(status), 2), np.nan)
+    lifted[idx] = f3d[:, :2]
+
+    seeded = (status == DYNAMIC) & (labels >= 0)
+    classified = np.bincount(labels[(status != UNKNOWN) & (labels >= 0)], minlength=n_pieces)
+    majority = 2 * np.bincount(labels[seeded], minlength=n_pieces) > classified
+    seeded[seeded] = majority[labels[seeded]]
+    ok = seeded & np.isfinite(lifted).all(axis=1)
+    velocity = _group_median(labels[ok], lifted[ok], n_pieces)[labels[seeded]]
+
+    n_occ = space.counts.shape[0]
+    cell = space.flat[seeded, 0] // 2  # n_occ for an out-of-grid point
+    ok = np.isfinite(velocity).all(axis=1)  # a piece with no lift seeds nothing
+    velocity = _group_median(cell[ok], velocity[ok], n_occ + 1)[:n_occ]
+    velocity[np.isnan(velocity)] = 0.0
+    return velocity
+
+
 def optimize(bundle: SceneBundle, cfg: OptimConfig):
     """Fit one BevMotionField per predicted offset; returns (fields, report).
 
-    Fields start at zero (the static prior); each step divides the summed
-    per-point flow gradients of a cell by its point count and descends
-    with a decaying learning rate. The report's stop_reason says whether
-    the relative loss change fell below cfg.convergence_tol ("tol") or the
-    iteration cap was reached ("max_iters"); a non-finite loss or gradient,
-    or a loss above 10x the initial one, raises DivergenceError, whose
-    report says "diverged". The report's final holds the loss components
-    at the fields it returns: after "max_iters" the objective is evaluated
-    once more, since the last update follows the last trajectory entry.
+    A masked config (cfg.use_mask) starts offset t of each cell at t times
+    its seed_velocity: constant velocity, the exact zero of the temporal
+    term. The plain config, the LiDAR-only baseline, starts at zero. Each
+    step divides the summed per-point flow gradients of a cell by its
+    point count and descends with a decaying learning rate.
+
+    L0 is the objective at zero fields: the first trajectory entry of a
+    zero start, evaluated once more before a seeded one. The report's
+    stop_reason says whether the loss changed over 10 iterations by at
+    most cfg.convergence_tol times the larger of the earlier loss and L0
+    ("tol") or the iteration cap was reached ("max_iters"); a non-finite
+    loss or gradient, or a loss above 10x the larger of the initial one and
+    L0, raises DivergenceError, whose report says "diverged". The report's
+    final holds the loss components at the fields it returns: after
+    "max_iters" the objective is evaluated once more, since the last
+    update follows the last trajectory entry.
     """
     start = time.perf_counter()
     space = cell_space(bundle, cfg)
     n_occ = space.counts.shape[0]
     fields = {t: np.zeros((n_occ, 2)) for t in cfg.frame_set.offsets}
+    seeded_cells = 0
+    zero_loss = None  # L0
+    if cfg.use_mask:
+        velocity = seed_velocity(bundle, space)
+        seeded_cells = int(np.count_nonzero(velocity.any(axis=1)))
+        if seeded_cells:
+            zero_loss = field_loss_and_gradients(space, fields)[0]["total"]
+            for t, f in fields.items():
+                f += t * velocity  # 0.0 + -0.0 is 0.0: no negative zeros
     lr = cfg.learning_rate
     trajectory = []
-    initial = None
     stop_reason = "max_iters"
 
     for it in range(cfg.max_iters):
@@ -220,23 +282,26 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
         grad_norm = math.sqrt(sum(float((g * g).sum()) for g in cell_grads.values()))
         trajectory.append({"iter": it, **components, "lr": lr, "grad_norm": grad_norm})
         loss = components["total"]
-        if initial is None:
-            initial = loss
+        if it == 0:
+            if zero_loss is None:  # a zero start: L0 is its first entry
+                zero_loss = loss
+            bound = max(loss, zero_loss)
         if not (math.isfinite(loss) and math.isfinite(grad_norm)):
             reason = f"loss {loss:.6g} or gradient norm {grad_norm:.6g} is not finite"
-        elif initial > 0 and loss > 10.0 * initial:
-            reason = f"loss diverged: {loss:.6g} > 10x initial {initial:.6g}"
+        elif bound > 0 and loss > 10.0 * bound:
+            reason = f"loss diverged: {loss:.6g} > 10x max(initial, L0) {bound:.6g}"
         else:
             reason = None
         if reason is not None:
             wall = time.perf_counter() - start
             report = OptimReport(
-                it + 1, trajectory, components, _wrap(fields, space), wall, False, "diverged"
+                it + 1, trajectory, components, _wrap(fields, space), wall, False, "diverged",
+                seeded_cells,
             )
             raise DivergenceError(reason, report)
         if it >= 10:
             past = trajectory[-11]["total"]
-            if abs(past - loss) <= cfg.convergence_tol * max(abs(past), 1e-12):
+            if abs(past - loss) <= cfg.convergence_tol * max(abs(past), zero_loss):
                 stop_reason = "tol"
                 break
         for t, g in cell_grads.items():
@@ -254,6 +319,7 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
         wall_time_s=time.perf_counter() - start,
         converged=stop_reason == "tol",
         stop_reason=stop_reason,
+        seeded_cells=seeded_cells,
     )
     return report.fields, report
 

@@ -75,6 +75,31 @@ def test_optimize_report_loss_matches_loss_command(workspace, capsys):
         assert float(reported[f"loss_{key}"]) == pytest.approx(float(printed[key]), rel=1e-6)
 
 
+def test_optimize_report_records_mask_and_seed(workspace):
+    lines = open(os.path.join(workspace["pred"], "report.txt")).read().splitlines()
+    reported = dict(line.split("=") for line in lines)
+    assert reported["use_mask"] == "true"
+    assert int(reported["seeded_cells"]) > 0
+
+
+def test_loss_no_mask_matches_plain_optimize_report(workspace, tmp_path, capsys):
+    out_dir = str(tmp_path / "plain")
+    weights = ["--lambda-pr", "0", "--lambda-tc", "0"]
+    argv = ["optimize", "--scene", workspace["scene"], "--out", out_dir, "--iters", "5", "--no-mask"]
+    assert cli.main(argv + weights) == 0
+    capsys.readouterr()
+    lines = open(os.path.join(out_dir, "report.txt")).read().splitlines()
+    reported = dict(line.split("=") for line in lines)
+    assert reported["use_mask"] == "false" and reported["seeded_cells"] == "0"
+    argv = ["loss", "--scene", workspace["scene"], "--pred", out_dir]
+    assert cli.main(argv + weights + ["--no-mask"]) == 0
+    plain = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert float(reported["loss_total"]) == pytest.approx(float(plain["total"]), rel=1e-6)
+    assert cli.main(argv + weights) == 0  # the masked objective differs
+    masked = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert float(masked["total"]) != pytest.approx(float(plain["total"]), rel=1e-3)
+
+
 def test_loss_prints_all_components(workspace, capsys):
     rc = cli.main(["loss", "--scene", workspace["scene"], "--pred", workspace["pred"]])
     assert rc == 0
@@ -235,7 +260,7 @@ def test_closed_stdout_ends_the_command_quietly(workspace, tmp_path, monkeypatch
 def test_parser_defaults_are_the_config_defaults(command, output):
     args = cli.build_parser().parse_args([command, "--scene", "s", output, "o"])
     assert cli._weights(args) == LossWeights()
+    assert not args.no_mask and OptimConfig().use_mask
     if command == "optimize":
         cfg = OptimConfig()
         assert (args.iters, args.lr) == (cfg.max_iters, cfg.learning_rate)
-        assert not args.no_mask and cfg.use_mask

@@ -16,6 +16,7 @@ from bevss.masks import (
     StaticDynamicMask,
     build_mask,
     classify,
+    lift_frame,
 )
 from bevss.projection import (
     CalibratedCamera,
@@ -204,6 +205,23 @@ def test_build_mask_matches_per_point_oracle(one_box, stress):
     np.testing.assert_array_equal(status, expected)
     # The sample must exercise every branch of the rule.
     assert {STATIC, DYNAMIC, UNKNOWN} <= set(status.tolist())
+
+
+def test_lift_frame_covers_the_classified_points(one_box):
+    # Each point some camera sees appears once, with the flows build_mask
+    # classifies. On one-box most actor points lift to the actor's true
+    # motion; a few sample a pixel of what lies behind the actor's edge.
+    cloud = one_box.clouds[0]
+    idx, f2d, f3d = lift_frame(cloud, one_box.frame_flows(0), one_box.cam_pair(0))
+    thr = MaskThresholds(ground_z=-10.0)  # no point is forced static
+    status = build_mask(cloud, one_box.frame_flows(0), one_box.cam_pair(0), thr).status
+    assert len(np.unique(idx)) == len(idx)
+    np.testing.assert_array_equal(np.sort(idx), np.flatnonzero(status != UNKNOWN))
+    np.testing.assert_array_equal(status[idx], classify(f2d, f3d, thr))
+    actor = one_box.gt_instances[0][idx] == 0
+    assert actor.any()
+    err = f3d[actor, :2] - one_box.actor_velocities[0]
+    assert np.abs(np.median(err, axis=0)).max() < 1e-6
 
 
 def test_static_point_ego_flow_matches_camera_motion():
