@@ -44,40 +44,20 @@ def _add_lambda_args(p):
     p.add_argument("--lambda-tc", type=float, default=w.lambda_tc)
 
 
-# Label options by the MaskThresholds or PieceParams field they set.
-_MASK_OPTS = {"--tau2d": "tau_2d", "--tau3d": "tau_3d", "--ground-z": "ground_z"}
-_PIECE_OPTS = {"--delta-d": "delta_d"}
-
-
-def _supervision(bundle, args):
-    thr = _label_options(args, _MASK_OPTS, bool(bundle.pseudo_masks))
-    params = _label_options(args, _PIECE_OPTS, bundle.pieces is not None)
-    return prepare_supervision(bundle, MaskThresholds(**thr), PieceParams(**params))
-
-
-def _label_options(args, opts, stored: bool) -> dict:
-    """The options of `opts` given on the command line, keyed by field.
-
-    Stored labels are used as they are, so an option that would only
-    change them is an error instead of being silently ignored.
-    """
-    given = {}
-    for flag, field in opts.items():
-        value = getattr(args, field)
-        if value is None:
-            continue
-        if stored:
-            raise ValueError(
-                f"{flag} has no effect on a scene that already has labels; "
-                f"pass it to `bevss labels` instead"
-            )
-        given[field] = value
-    return given
-
-
 def _add_label_args(p):
-    for flag, field in {**_MASK_OPTS, **_PIECE_OPTS}.items():
-        p.add_argument(flag, type=float, default=None, dest=field)
+    thr, params = MaskThresholds(), PieceParams()
+    p.add_argument("--tau2d", type=float, default=thr.tau_2d)
+    p.add_argument("--tau3d", type=float, default=thr.tau_3d)
+    p.add_argument("--ground-z", type=float, default=thr.ground_z)
+    p.add_argument("--delta-d", type=float, default=params.delta_d)
+
+
+def _problem(args, **optim):
+    """The scene of args with its stored labels (the default ones if it
+    has none) and the OptimConfig of its offsets and the loss options."""
+    bundle = fileio.load_scene(args.scene)
+    cfg = OptimConfig(frame_set=bundle.frame_set, weights=_weights(args), use_mask=not args.no_mask, **optim)
+    return prepare_supervision(bundle), cfg
 
 
 def cmd_synth(args) -> int:
@@ -94,7 +74,8 @@ def cmd_labels(args) -> int:
     bundle = fileio.load_scene(args.scene)
     bundle.pseudo_masks.clear()
     bundle.pieces = None
-    _supervision(bundle, args)
+    thr = MaskThresholds(args.tau2d, args.tau3d, args.ground_z)
+    prepare_supervision(bundle, thr, PieceParams(delta_d=args.delta_d))
     out = args.out or (args.scene if os.path.isdir(args.scene) else os.path.dirname(args.scene))
     fileio.save_scene(bundle, out)
     for t in bundle.mask_frames:
@@ -119,9 +100,7 @@ def _saved_objective(bundle, cfg: OptimConfig, pred_dir: str) -> dict:
 
 
 def cmd_loss(args) -> int:
-    bundle = fileio.load_scene(args.scene)
-    _supervision(bundle, args)
-    cfg = OptimConfig(frame_set=bundle.frame_set, weights=_weights(args), use_mask=not args.no_mask)
+    bundle, cfg = _problem(args)
     components = _saved_objective(bundle, cfg, args.pred)
     for key in ("mc", "pr", "tc", "total"):
         print(f"{key}: {_fmt(components[key])}")
@@ -129,18 +108,7 @@ def cmd_loss(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    bundle = fileio.load_scene(args.scene)
-    _supervision(bundle, args)
-    frame_set = bundle.frame_set
-    if args.frames:
-        frame_set = FrameSet(offsets=_parse_frames(args.frames), frame_interval_s=frame_set.frame_interval_s)
-    cfg = OptimConfig(
-        max_iters=args.iters,
-        learning_rate=args.lr,
-        frame_set=frame_set,
-        weights=_weights(args),
-        use_mask=not args.no_mask,
-    )
+    bundle, cfg = _problem(args, max_iters=args.iters, learning_rate=args.lr)
     fields, report = optimize(bundle, cfg)
     os.makedirs(args.out, exist_ok=True)
     for t, fld in fields.items():
@@ -210,13 +178,24 @@ def _label_colors(n: int, seed: int = 0) -> np.ndarray:
     return rng.integers(40, 255, size=(max(n, 1), 3))
 
 
+def _need(table: dict, key, what: str):
+    """table[key], or an error that names what the scene lacks."""
+    if key not in table:
+        raise ValueError(f"the scene has no {what}")
+    return table[key]
+
+
+_RUN_LABELS = "; run `bevss labels` first"
+
+
 def cmd_render(args) -> int:
     bundle = fileio.load_scene(args.scene)
     spec = bundle.grid
     if args.what == "field":
-        fld = bundle.gt_fields[args.t] if not args.pred else fileio.load_field(
-            fileio.field_path(args.pred, args.t), spec
-        )
+        if args.pred:
+            fld = fileio.load_field(fileio.field_path(args.pred, args.t), spec)
+        else:
+            fld = _need(bundle.gt_fields, args.t, f"field for offset {args.t}")
         mag = np.linalg.norm(fld.values, axis=2)
         peak = max(mag.max(), 1e-9)
         rgb = np.zeros((spec.cells_y, spec.cells_x, 3))
@@ -225,21 +204,25 @@ def cmd_render(args) -> int:
         rgb[:, :, 2] = mag.T / peak * 128
         _write_ppm(args.out, rgb[::-1])
     elif args.what in ("mask", "pieces"):
-        cloud = bundle.clouds[args.t if args.what == "mask" else 0]
+        t = args.t if args.what == "mask" else 0
+        cloud = _need(bundle.clouds, t, f"point cloud for frame {t}")
         idx, valid = cell_indices(cloud.points, spec)
         rgb = np.zeros((spec.cells_x, spec.cells_y, 3), dtype=np.uint8)
         if args.what == "mask":
-            status = bundle.pseudo_masks[args.t].status
+            status = _need(bundle.pseudo_masks, t, f"pseudo mask for frame {t}" + _RUN_LABELS).status
             palette = np.array([[90, 90, 90], [60, 220, 60], [60, 60, 220]])
             colors = palette[np.minimum(status, 2)]
         else:
+            if bundle.pieces is None:
+                raise ValueError("the scene has no rigid pieces" + _RUN_LABELS)
             labels = bundle.pieces.labels
             palette = _label_colors(bundle.pieces.piece_count)
             colors = np.where(labels[:, None] >= 0, palette[np.clip(labels, 0, None)], 30)
         rgb[idx[valid, 0], idx[valid, 1]] = colors[valid]
         _write_ppm(args.out, np.transpose(rgb, (1, 0, 2))[::-1])
     elif args.what == "seg2d":
-        flow = bundle.flow_images[(args.camera, args.t)]
+        key = (args.camera, args.t)
+        flow = _need(bundle.flow_images, key, f"flow image for camera {args.camera} at frame {args.t}")
         seg = oversegment(flow, PieceParams())
         palette = _label_colors(seg.count)
         _write_ppm(args.out, palette[seg.labels])
@@ -269,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loss", help="print loss components for given fields")
     _add_scene_arg(p)
-    _add_label_args(p)
     _add_lambda_args(p)
     p.add_argument("--pred", required=True, help="directory with BEV1 field files")
     _add_no_mask_arg(p)
@@ -278,12 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="fit BEV fields by gradient descent")
     defaults = OptimConfig()
     _add_scene_arg(p)
-    _add_label_args(p)
     _add_lambda_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--iters", type=int, default=defaults.max_iters)
     p.add_argument("--lr", type=float, default=defaults.learning_rate)
-    p.add_argument("--frames", default=None)
     _add_no_mask_arg(p)
     p.set_defaults(func=cmd_optimize)
 

@@ -126,6 +126,8 @@ CHECKS = {
 
 def run_all(seed: int = 0, instances: int = 20, n: int = 50, step: float = 1e-4) -> dict:
     """Max relative error per loss over the requested random instances."""
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     out = {}
     for name, fn in CHECKS.items():
         rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PointCloud
-from .projection import CalibratedCamera, FlowImage, lift_flow_many, project_many
+from .projection import CalibratedCamera, FlowImage, first_sightings, lift_flow_many
 
 STATIC = 0
 DYNAMIC = 1
@@ -74,30 +74,10 @@ def lift_frame(
     if len(flow_imgs) != len(cam_pairs):
         raise ValueError("calibration must cover every flow image")
 
-    todo = np.ones(len(cloud), dtype=bool)
     parts = [(np.zeros(0, dtype=np.intp), np.zeros((0, 2)), np.zeros((0, 3)))]  # no point seen
-    for flow_img, (cam_t, cam_next) in zip(flow_imgs, cam_pairs):
-        if not np.any(todo):
-            break
-        idx = np.nonzero(todo)[0]
-        pts = cloud.points[idx]
-        uv, _, valid_t = project_many(pts, cam_t)
-        uv_next, _, valid_next = project_many(pts, cam_next)
-        valid = valid_t & valid_next
-        if not np.any(valid):
-            continue
-        idx = idx[valid]
-        pts = pts[valid]
-        uv = uv[valid]
-        uv_next = uv_next[valid]
-
-        u = np.minimum(np.rint(uv[:, 0]).astype(np.int64), cam_t.width - 1)
-        v = np.minimum(np.rint(uv[:, 1]).astype(np.int64), cam_t.height - 1)
-        total = flow_img.data[v, u].astype(np.float64)
-        f2d = total - (uv_next - uv)
-
-        parts.append((idx, f2d, lift_flow_many(f2d, pts, cam_t)))
-        todo[idx] = False
+    for k, idx, (uv, uv_next), (u, v) in first_sightings(cloud.points, cam_pairs):
+        f2d = flow_imgs[k].data[v, u].astype(np.float64) - (uv_next - uv)
+        parts.append((idx, f2d, lift_flow_many(f2d, cloud.points[idx], cam_pairs[k][0])))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 

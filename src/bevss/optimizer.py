@@ -274,6 +274,7 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
     lr = cfg.learning_rate
     trajectory = []
     stop_reason = "max_iters"
+    reason = None  # why the loss diverged
 
     for it in range(cfg.max_iters):
         if it > 0 and it % LR_DECAY_EVERY == 0:
@@ -290,15 +291,9 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
             reason = f"loss {loss:.6g} or gradient norm {grad_norm:.6g} is not finite"
         elif bound > 0 and loss > 10.0 * bound:
             reason = f"loss diverged: {loss:.6g} > 10x max(initial, L0) {bound:.6g}"
-        else:
-            reason = None
         if reason is not None:
-            wall = time.perf_counter() - start
-            report = OptimReport(
-                it + 1, trajectory, components, _wrap(fields, space), wall, False, "diverged",
-                seeded_cells,
-            )
-            raise DivergenceError(reason, report)
+            stop_reason = "diverged"
+            break
         if it >= 10:
             past = trajectory[-11]["total"]
             if abs(past - loss) <= cfg.convergence_tol * max(abs(past), zero_loss):
@@ -321,6 +316,8 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
         stop_reason=stop_reason,
         seeded_cells=seeded_cells,
     )
+    if stop_reason == "diverged":
+        raise DivergenceError(reason, report)
     return report.fields, report
 
 

@@ -13,7 +13,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .grid import BevGridSpec, PointCloud, cell_keys
-from .projection import CalibratedCamera, FlowImage, project_many
+from .projection import CalibratedCamera, FlowImage, first_sightings
 
 
 @dataclass(frozen=True)
@@ -239,25 +239,12 @@ def label_points(
     Returns (labels (N,) int32 with -1 for invisible points,
     camera_of_label mapping global label id -> camera index).
     """
-    n = len(cloud)
-    labels = np.full(n, -1, dtype=np.int32)
-    camera_of_label: list[int] = []
-    offset = 0
-    assigned = np.zeros(n, dtype=bool)
-    for cam_idx, (seg, cam) in enumerate(zip(segs, cams)):
-        todo = ~assigned
-        if np.any(todo):
-            idx = np.nonzero(todo)[0]
-            uv, _, valid = project_many(cloud.points[idx], cam)
-            idx = idx[valid]
-            if idx.size:
-                u = np.minimum(np.rint(uv[valid, 0]).astype(np.int64), cam.width - 1)
-                v = np.minimum(np.rint(uv[valid, 1]).astype(np.int64), cam.height - 1)
-                labels[idx] = seg.labels[v, u] + offset
-                assigned[idx] = True
-        camera_of_label.extend([cam_idx] * seg.count)
-        offset += seg.count
-    return labels, np.asarray(camera_of_label, dtype=np.int32)
+    counts = [seg.count for seg in segs]
+    offsets = np.cumsum(counts) - counts
+    labels = np.full(len(cloud), -1, dtype=np.int32)
+    for k, idx, _, (u, v) in first_sightings(cloud.points, [(cam,) for cam in cams]):
+        labels[idx] = segs[k].labels[v, u] + offsets[k]
+    return labels, np.repeat(np.arange(len(segs), dtype=np.int32), counts)
 
 
 def occlusion_filter(

@@ -79,6 +79,34 @@ def project_many(points: np.ndarray, cam: CalibratedCamera):
     return uv, w, valid
 
 
+def first_sightings(points: np.ndarray, views):
+    """The points each view is the first to see, view by view.
+
+    views[k] is a tuple of cameras; it sees a point that every camera of
+    the tuple projects validly, and views are tried in order. Yields
+    (k, idx, uvs, (u, v)) for each view that sees points no earlier view
+    saw: their (M,) indices, their (M,2) pixels in each camera of the
+    tuple, and their pixel in the tuple's first camera rounded to the
+    (M,) integer columns u and rows v of its image.
+    """
+    todo = np.ones(len(points), dtype=bool)
+    for k, cams in enumerate(views):
+        if not np.any(todo):
+            break
+        idx = np.nonzero(todo)[0]
+        pts = points[idx]
+        projected = [project_many(pts, cam) for cam in cams]
+        valid = np.logical_and.reduce([ok for _, _, ok in projected])
+        if not np.any(valid):
+            continue
+        idx = idx[valid]
+        uvs = [uv[valid] for uv, _, _ in projected]
+        u = np.minimum(np.rint(uvs[0][:, 0]).astype(np.int64), cams[0].width - 1)
+        v = np.minimum(np.rint(uvs[0][:, 1]).astype(np.int64), cams[0].height - 1)
+        todo[idx] = False
+        yield k, idx, uvs, (u, v)
+
+
 def lift_matrix(cam: CalibratedCamera, z: np.ndarray) -> np.ndarray:
     """(N,3,3) maps (x, y, 1) -> homogeneous pixel at the fixed heights z (N,).
 

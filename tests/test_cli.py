@@ -116,16 +116,21 @@ def test_loss_prints_zero_for_a_term_that_is_off(workspace, capsys):
     assert printed["total"] == printed["mc"] and float(printed["mc"]) > 0.0
 
 
-@pytest.mark.parametrize("command", ["optimize", "loss"])
-@pytest.mark.parametrize("flag", ["--tau2d", "--tau3d", "--ground-z", "--delta-d"])
-def test_label_option_on_a_labeled_scene_is_an_error(workspace, tmp_path, capsys, command, flag):
-    # The stored masks and pieces would be used as they are, so the option
-    # could not take effect.
+_REMOVED = ("--tau2d", "--tau3d", "--ground-z", "--delta-d")
+
+
+@pytest.mark.parametrize(
+    "flag,command", [(f, c) for c in ("optimize", "loss") for f in _REMOVED] + [("--frames", "optimize")]
+)
+def test_removed_option_is_a_usage_error(workspace, tmp_path, capsys, flag, command):
+    # Labels and offsets are chosen by `labels` and `synth`; `loss` and
+    # `optimize` read the scene as stored.
     target = ["--out", str(tmp_path / "p")] if command == "optimize" else ["--pred", workspace["pred"]]
-    argv = [command, "--scene", workspace["scene"], *target, flag, "0.01"]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} ") and "bevss labels" in err
+    value = "1,2" if flag == "--frames" else "0.01"
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--scene", workspace["scene"], *target, flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "p")
 
 
@@ -136,16 +141,34 @@ def test_non_finite_weight_is_an_error(workspace, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "p")
 
 
-def test_label_option_on_an_unlabeled_scene_sets_the_labels(workspace, tmp_path, capsys):
-    scene = str(tmp_path / "unlabeled")
+@pytest.fixture(scope="module")
+def unlabeled(tmp_path_factory):
+    """The workspace's scene as `synth` wrote it, before `labels`."""
+    scene = str(tmp_path_factory.mktemp("unlabeled") / "scene")
     assert cli.main(["synth", "--preset", "one-box", "--seed", "0", "--out", scene]) == 0
-    argv = ["loss", "--scene", scene, "--pred", workspace["pred"]]
-    totals = []
-    for extra in ([], ["--tau2d", "0.01"]):
-        capsys.readouterr()
-        assert cli.main(argv + extra) == 0
-        totals.append(dict(line.split(": ") for line in capsys.readouterr().out.splitlines())["total"])
-    assert totals[0] != totals[1]
+    return scene
+
+
+def _total(capsys, argv):
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    return dict(line.split(": ") for line in capsys.readouterr().out.splitlines())["total"]
+
+
+def test_labels_option_changes_the_loss(workspace, unlabeled, tmp_path, capsys):
+    relabeled = str(tmp_path / "relabeled")
+    assert cli.main(["labels", "--scene", unlabeled, "--tau2d", "0.01", "--out", relabeled]) == 0
+    default = _total(capsys, ["loss", "--scene", workspace["scene"], "--pred", workspace["pred"]])
+    assert _total(capsys, ["loss", "--scene", relabeled, "--pred", workspace["pred"]]) != default
+
+
+def test_optimize_on_an_unlabeled_scene_matches_labels_then_optimize(workspace, unlabeled, tmp_path):
+    # An unlabeled scene gets the default labels, as `bevss labels` stores them.
+    out = str(tmp_path / "pred")
+    assert cli.main(["optimize", "--scene", unlabeled, "--out", out, "--iters", "40"]) == 0
+    for t in (-1, 1, 2):
+        with open(fileio.field_path(out, t), "rb") as a, open(fileio.field_path(workspace["pred"], t), "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_eval_prints_buckets_and_kv(workspace, capsys):
@@ -181,6 +204,31 @@ def test_render_outputs_valid_ppm(workspace, what, capsys):
         assert (w, h) == (480, 240)
     else:
         assert (w, h) == (256, 256)
+
+
+@pytest.mark.parametrize(
+    "labeled,argv,message",
+    [
+        (True, ["--what", "mask", "--t", "5"], "no point cloud for frame 5"),
+        (True, ["--what", "seg2d", "--camera", "7"], "no flow image for camera 7 at frame 1"),
+        (True, ["--what", "field", "--t", "3"], "no field for offset 3"),
+        (False, ["--what", "mask"], "no pseudo mask for frame 1; run `bevss labels` first"),
+        (False, ["--what", "pieces"], "no rigid pieces; run `bevss labels` first"),
+    ],
+    ids=["mask-frame", "seg2d-camera", "field-offset", "mask-unlabeled", "pieces-unlabeled"],
+)
+def test_render_error_names_what_is_missing(workspace, unlabeled, tmp_path, capsys, labeled, argv, message):
+    scene = workspace["scene"] if labeled else unlabeled
+    out = tmp_path / "x.ppm"
+    assert cli.main(["render", "--scene", scene, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: the scene has {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_without_instances_is_an_error(capsys, instances):
+    assert cli.main(["gradcheck", "--instances", instances]) == 1
+    assert capsys.readouterr().err == f"error: instances must be >= 1, got {instances}\n"
 
 
 def test_gradcheck_subcommand(capsys):

@@ -9,6 +9,7 @@ from bevss.projection import (
     CalibratedCamera,
     FlowImage,
     UnliftableDepthError,
+    first_sightings,
     lift_flow,
     lift_flow_many,
     lift_matrix,
@@ -55,6 +56,20 @@ def test_invalid_projections():
     cam = make_camera()
     assert project((-5.0, 0.0, 0.0), cam) is None  # behind the camera
     assert project((1.0, 30.0, 0.0), cam) is None  # off the sensor
+
+
+def test_first_sightings_give_each_point_to_the_first_view_that_sees_it():
+    front, back = make_camera(), make_camera(yaw_deg=180.0)
+    pts = np.array([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0], [10.0, 1.0, 0.0], [0.0, 30.0, 0.0]])
+    # The first view needs both cameras, so it sees no point and is skipped.
+    views = [(front, back), (front,), (back,), (front,)]
+    got = list(first_sightings(pts, views))
+    assert [(k, idx.tolist()) for k, idx, _, _ in got] == [(1, [0, 2]), (2, [1])]
+    for k, idx, uvs, (u, v) in got:
+        for uv, cam in zip(uvs, views[k]):
+            np.testing.assert_array_equal(uv, project_many(pts[idx], cam)[0])
+        np.testing.assert_array_equal(u, np.rint(uvs[0][:, 0]).astype(np.int64))
+        np.testing.assert_array_equal(v, np.rint(uvs[0][:, 1]).astype(np.int64))
 
 
 def test_project_many_matches_scalar(rng):
