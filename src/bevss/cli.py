@@ -163,6 +163,12 @@ def cmd_gradcheck(args) -> int:
         print(f"{name}: {_fmt(err)}")
         worst = max(worst, err)
     print(f"max: {_fmt(worst)}")
+    # `not err < bound` also fails a NaN error.
+    failed = [name for name, err in results.items() if not err < gradcheck.MAX_ERROR]
+    if failed:
+        names = ", ".join(failed)
+        print(f"error: relative error not below {gradcheck.MAX_ERROR:g}: {names}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -91,21 +91,22 @@ class PointFlowSet:
     """Per-point 3D displacement aligned with a PointCloud's order.
 
     Flows derived from a BevMotionField have an exactly zero vertical
-    component.
+    component. A stack of flow sets, (..., N, 3), is one set per index of
+    its leading axes; the loss values take it, and its length is N.
     """
 
     time_offset: int
-    flows: np.ndarray  # (N, 3) float64
+    flows: np.ndarray  # (N, 3) or (..., N, 3) float64
 
     def __post_init__(self):
         f = np.asarray(self.flows, dtype=np.float64)
-        if f.ndim != 2 or f.shape[1] != 3:
-            raise ValueError("flows must have shape (N, 3)")
+        if f.ndim < 2 or f.shape[-1] != 3:
+            raise ValueError("flows must have shape (N, 3) or (..., N, 3)")
         f.setflags(write=False)
         object.__setattr__(self, "flows", f)
 
     def __len__(self) -> int:
-        return self.flows.shape[0]
+        return self.flows.shape[-2]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """Self-supervised training objectives.
 
 Every loss returns a value and, on request, analytic gradients with
-respect to the per-point flows. Nearest-neighbor correspondences are
-those of the flows evaluated and are held fixed within one gradient
-computation (the standard subgradient for piecewise-smooth NN
-objectives). MaskedChamfer keeps them from call to call and re-queries
-only the points whose nearest neighbor may have changed.
+respect to the per-point flows. The value path also takes a stack of flow
+sets, (..., N, 3) flows with the same leading axes at every offset, and
+returns one value per set, each equal bit for bit to that of the set
+alone; gradients, and MaskedChamfer's kept pairs, take one set at a time.
+Nearest-neighbor correspondences are those of the flows evaluated and are
+held fixed within one gradient computation (the standard subgradient for
+piecewise-smooth NN objectives). MaskedChamfer keeps them from call to
+call and re-queries only the points whose nearest neighbor may have
+changed.
 
 The three supervision signals are split into a setup step and an
 evaluate step. MaskedChamfer, Rigidity and TemporalConsistency check
@@ -14,6 +18,7 @@ once; calling a term evaluates the one formula of its loss on a flow set.
 rigidity and temporal_consistency set a term up and evaluate it once.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +31,30 @@ from .pieces import RigidPieces
 
 @dataclass(frozen=True)
 class LossValue:
-    """Scalar loss plus optional gradients, keyed per time offset."""
+    """Scalar loss plus optional gradients, keyed per time offset.
 
-    value: float
+    value is an array over the leading axes of stacked flows.
+    """
+
+    value: float | np.ndarray
     grad: dict | None = None
+
+
+def _block_sums(x: np.ndarray, block_ndim: int = 2):
+    """Sum of each block of the last block_ndim axes of x: a float for a
+    single block, else an array over the leading axes.
+
+    Each block is summed as one contiguous run, as x.sum() sums a single
+    block, so a block's sum in a stack is bit for bit its sum alone.
+    """
+    lead = x.shape[: x.ndim - block_ndim]
+    s = x.reshape(*lead, -1).sum(-1)
+    return s if lead else float(s)
+
+
+def _single(x: np.ndarray, with_grad: bool) -> None:
+    if with_grad and x.ndim > 2:
+        raise ValueError("gradients take a single set, not a stack")
 
 
 @dataclass(frozen=True)
@@ -77,16 +102,21 @@ def _scatter_add(base: np.ndarray, idx: np.ndarray, terms: np.ndarray) -> np.nda
 
 def _chamfer(pa: np.ndarray, pb: np.ndarray, pairs, sides: str = "") -> tuple[float, dict]:
     """Chamfer value of two point arrays at fixed pairs, and its gradient
-    with respect to each operand named in sides ("a", "b")."""
+    with respect to each operand named in sides ("a", "b").
+
+    pa and pb may be stacks, (..., N, 3) and (..., M, 3), when sides is "".
+    """
+    _single(pa, bool(sides))
+    _single(pb, bool(sides))
     a_to_b, b_to_a = pairs
-    da = pa - pb[a_to_b]
-    db = pb - pa[b_to_a]
+    da = pa - np.take(pb, a_to_b, axis=-2)
+    db = pb - np.take(pa, b_to_a, axis=-2)
     grad = {}
     if "a" in sides:
         grad["a"] = _scatter_add(2.0 * da, b_to_a, -2.0 * db)
     if "b" in sides:
         grad["b"] = _scatter_add(2.0 * db, a_to_b, -2.0 * da)
-    return float((da * da).sum() + (db * db).sum()), grad
+    return _block_sums(da * da) + _block_sums(db * db), grad
 
 
 def chamfer(a: PointCloud, b: PointCloud, with_grad: bool = False, pairs=None) -> LossValue:
@@ -281,13 +311,14 @@ class MaskedChamfer:
                 self.nn[t] = _CertifiedPairs(self.dyn_points, target)
 
     def _warped(self, flows: dict, t: int) -> np.ndarray:
-        return self.dyn_points + flows[t].flows[self.dyn_idx]
+        return self.dyn_points + np.take(flows[t].flows, self.dyn_idx, axis=-2)
 
     def pairs(self, flows: dict) -> dict:
         """Chamfer correspondences at flows, to hold fixed in later calls."""
         return {t: nn(self._warped(flows, t)) for t, nn in self.nn.items()}
 
     def __call__(self, flows: dict, with_grad: bool = False, pairs: dict | None = None):
+        """Value (and gradient) at flows; stacked flows need pairs."""
         if flows.keys() != set(self.offsets):
             raise ValueError(f"flow offsets {sorted(flows)} != {list(self.offsets)}")
         n_off = len(self.offsets)
@@ -295,7 +326,10 @@ class MaskedChamfer:
         grads: dict[int, np.ndarray] = {}
         for t in self.offsets:
             f = flows[t].flows
-            if len(f) != self.n0:
+            _single(f, with_grad)
+            if f.ndim > 2 and pairs is None:
+                raise ValueError("stacked flows need the pairs to hold fixed")
+            if len(flows[t]) != self.n0:
                 raise ValueError("flow length differs from frame 0 cloud")
             if with_grad:
                 g = np.sign(f)
@@ -312,8 +346,8 @@ class MaskedChamfer:
                 g[self.dyn_idx] = 0.0  # sign(f) * 0 may be -0.0 or NaN there
 
             if self.stat_idx.size:
-                fs = np.abs(np.take(f, self.stat_idx, axis=0))
-                value += float(fs.sum()) / self.n_stat
+                fs = np.abs(np.take(f, self.stat_idx, axis=-2))
+                value += _block_sums(fs) / self.n_stat
             if with_grad:
                 grads[t] = g
 
@@ -326,7 +360,8 @@ class MaskedChamfer:
 class Rigidity:
     """Mean absolute deviation of flows about their piece mean, per frame.
 
-    Pieces with no constraint (piece_count 0) yield 0.
+    Pieces with no constraint (piece_count 0) yield 0. A piece id with no
+    points still counts in N_r.
     """
 
     def __init__(self, pieces: RigidPieces):
@@ -337,23 +372,33 @@ class Rigidity:
         counts = np.bincount(self.lab, minlength=self.n_r).astype(np.float64)
         # Per-point weight 1/(N_r |R_j|).
         w = 1.0 / (self.n_r * counts[self.lab])
-        self.counts, self.w = _wide(counts), _wide(w)
+        # The mean of a piece with no points is never taken: dividing its
+        # zero sums by 1 instead of 0 leaves every other quotient as it is.
+        self.counts, self.w = _wide(np.maximum(counts, 1.0)), _wide(w)
         # Piece-and-coordinate bin of each entry of a row-major (V, 3) array.
         self.bins = (3 * self.lab[:, None] + np.arange(3)).ravel()
 
     def _piece_sums(self, x: np.ndarray) -> np.ndarray:
-        """(n_r, 3) sums of the rows of x over each piece."""
-        sums = np.bincount(self.bins, weights=x.ravel(), minlength=3 * self.n_r)
-        return sums.reshape(self.n_r, 3)
+        """(..., n_r, 3) sums of the rows of each (V, 3) block of x over each piece.
+
+        Each block takes its own bins, so its sums are added in the same
+        order as those of the block alone.
+        """
+        lead = x.shape[:-2]
+        k, width = math.prod(lead), 3 * self.n_r
+        bins = (width * np.arange(k))[:, None] + self.bins
+        sums = np.bincount(bins.ravel(), weights=x.ravel(), minlength=k * width)
+        return sums.reshape(*lead, self.n_r, 3)
 
     def __call__(self, flows: dict, with_grad: bool = False) -> LossValue:
         value = 0.0
         grads: dict[int, np.ndarray] = {}
         for t, fl in sorted(flows.items()):
-            f = np.take(fl.flows, self.valid, axis=0)
+            _single(fl.flows, with_grad)
+            f = np.take(fl.flows, self.valid, axis=-2)
             means = self._piece_sums(f) / self.counts
-            dev = f - np.take(means, self.lab, axis=0)
-            value += float((self.w * np.abs(dev)).sum())
+            dev = f - np.take(means, self.lab, axis=-2)
+            value += _block_sums(self.w * np.abs(dev))
             if with_grad:
                 s = np.sign(dev)
                 # Dividing the piece sums before taking them per point gives
@@ -389,13 +434,16 @@ class TemporalConsistency:
         if flows.keys() != set(self.offsets):
             raise ValueError(f"flow offsets {sorted(flows)} != frame set {list(self.offsets)}")
         n_t = len(self.offsets)
-        x = np.empty((n_t, *flows[self.offsets[0]].flows.shape))  # (T, N, 3)
+        f0 = flows[self.offsets[0]].flows
+        _single(f0, with_grad)
+        # (..., T, N, 3): each set's velocities form one contiguous block.
+        x = np.empty((*f0.shape[:-2], n_t, *f0.shape[-2:]))
         for k, t in enumerate(self.offsets):
-            np.divide(flows[t].flows, t, out=x[k])  # velocities
-        np.subtract(x.mean(axis=0), x, out=x)  # deviations of the mean from each
+            np.divide(flows[t].flows, t, out=x[..., k, :, :])  # velocities
+        np.subtract(x.mean(axis=-3, keepdims=True), x, out=x)  # deviations of the mean from each
         a = np.abs(x)
-        norm = float(x.shape[1]) * n_t
-        value = float(a.sum()) / norm
+        norm = float(x.shape[-2]) * n_t
+        value = _block_sums(a, 3) / norm
         if not with_grad:
             return LossValue(value)
         s = np.sign(x, out=x)
@@ -442,6 +490,7 @@ def smoothness(
     neighbors, when given, is the (N, k) array from smoothness_neighbors
     and is used as is (held fixed, like chamfer's pairs).
     """
+    _single(flows.flows, with_grad)
     n = len(cloud)
     if k < 1 or n <= k:
         raise ValueError("need k >= 1 and more points than neighbors")
@@ -451,8 +500,8 @@ def smoothness(
     if nbr.shape != (n, k):
         raise ValueError(f"neighbors shape {nbr.shape} != ({n}, {k})")
     f = flows.flows
-    diffs = f[:, None, :] - f[nbr]  # (N, k, 3)
-    value = float((diffs * diffs).sum()) / k
+    diffs = f[..., None, :] - f[..., nbr, :]  # (..., N, k, 3)
+    value = _block_sums(diffs * diffs, 3) / k
     if not with_grad:
         return LossValue(value)
     g = 2.0 * diffs.sum(axis=1) / k

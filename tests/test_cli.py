@@ -239,6 +239,16 @@ def test_gradcheck_subcommand(capsys):
     assert worst < 1e-3
 
 
+@pytest.mark.parametrize("bad", [2e-3, float("inf")])
+def test_gradcheck_fails_on_an_error_not_below_the_bound(monkeypatch, capsys, bad):
+    errors = {"chamfer": 1e-11, "masked_chamfer": bad, "rigidity": 1e-3, "smoothness": 9e-4}
+    monkeypatch.setattr(cli.gradcheck, "run_all", lambda seed, instances: errors)
+    assert cli.main(["gradcheck"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: relative error not below 0.001: masked_chamfer, rigidity\n"
+    assert "max:" in captured.out
+
+
 def test_synth_frame_override(tmp_path):
     scene = str(tmp_path / "s")
     assert cli.main(["synth", "--preset", "static", "--frames", "1,2", "--out", scene]) == 0

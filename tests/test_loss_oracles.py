@@ -6,13 +6,25 @@ broadcast against (n, 3) flows, a zeroed gradient with the static rows
 assigned by index, and a stacked (T, N, 3) velocity array. The terms in
 src/ arrange the same arithmetic for speed; their values must be equal
 (==) and their gradients np.array_equal to these references.
+
+A term's value path also takes a stack of flow sets (leading axes before
+the (N, 3) flows); each value of a stack must equal (==) that of a call
+on its set alone.
 """
 
 import numpy as np
 import pytest
 
 from bevss.grid import FrameSet, PointCloud, PointFlowSet
-from bevss.losses import MaskedChamfer, Rigidity, TemporalConsistency, _chamfer, chamfer_pairs
+from bevss.losses import (
+    MaskedChamfer,
+    Rigidity,
+    TemporalConsistency,
+    _chamfer,
+    chamfer_pairs,
+    smoothness,
+    smoothness_neighbors,
+)
 from bevss.masks import DYNAMIC, STATIC, UNKNOWN, StaticDynamicMask
 from bevss.pieces import RigidPieces
 
@@ -194,24 +206,33 @@ def test_masked_chamfer_matches_reference_on_nan_flow_without_target():
     _assert_identical(term(_as_sets(flows), True), ref(_as_sets(flows), True), True)
 
 
-LABELS = ["with-unlabeled", "all-labeled", "none-labeled"]
+LABELS = ["with-unlabeled", "all-labeled", "none-labeled", "empty-piece"]
+
+
+def _pieces(rng, kind, n, n_r):
+    """RigidPieces of n points with labels of one kind."""
+    lab = {
+        "with-unlabeled": rng.integers(-1, n_r, size=n),
+        "all-labeled": rng.integers(0, n_r, size=n),
+        "none-labeled": np.full(n, -1),
+    }
+    # Piece id 2 has no points; it still counts in the piece count.
+    lab["empty-piece"] = np.where(lab["with-unlabeled"] == 2, 0, lab["with-unlabeled"])
+    return RigidPieces(0, lab[kind].astype(np.int32), 0 if kind == "none-labeled" else n_r)
 
 
 @pytest.mark.parametrize("labels", LABELS, ids=_unit_ids(LABELS))
 @pytest.mark.parametrize("with_grad", [False, True], ids=["value", "grad"])
 def test_rigidity_matches_reference(labels, with_grad):
     rng = np.random.default_rng(12)
-    n, n_r = 70, 5
-    lab = {
-        "with-unlabeled": rng.integers(-1, n_r, size=n),
-        "all-labeled": rng.integers(0, n_r, size=n),
-        "none-labeled": np.full(n, -1),
-    }[labels].astype(np.int32)
-    pieces = RigidPieces(0, lab, 0 if labels == "none-labeled" else n_r)
+    pieces = _pieces(rng, labels, 70, 5)
     term, ref = Rigidity(pieces), RefRigidity(pieces)
     for _ in range(3):
-        flows = _flows(rng, n)
-        _assert_identical(term(_as_sets(flows), with_grad), ref(_as_sets(flows), with_grad), with_grad)
+        flows = _flows(rng, 70)
+        # The reference takes the 0/0 mean of an empty piece, which no point reads.
+        with np.errstate(invalid="ignore"):
+            expected = ref(_as_sets(flows), with_grad)
+        _assert_identical(term(_as_sets(flows), with_grad), expected, with_grad)
 
 
 @pytest.mark.parametrize(
@@ -246,3 +267,108 @@ def test_cell_space_terms_match_reference(one_box):
     flows = _flows(rng, n, zero_rows=n // 3)
     for term, ref in zip((space.mc, space.pr, space.tc), refs):
         _assert_identical(term(_as_sets(flows), True), ref(_as_sets(flows), True), True)
+
+
+# --- stacks of flow sets ----------------------------------------------------
+
+LEADS = [(6,), (2, 3)]
+
+
+def _stack(sets, lead):
+    """One flow set per offset that stacks its flows from every dict in sets."""
+    return {
+        t: PointFlowSet(t, np.stack([s[t] for s in sets]).reshape(*lead, *f.shape))
+        for t, f in sets[0].items()
+    }
+
+
+def _assert_stack_matches_single_calls(call, sets, lead):
+    values = call(_stack(sets, lead)).value
+    singles = [call(_as_sets(s)).value for s in sets]
+    assert all(type(v) is float for v in singles)
+    assert values.shape == lead
+    assert np.array_equal(values.ravel(), singles)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("kind", ["mixed", "plain", "static"])
+def test_stacked_masked_chamfer_values_equal_single_calls(kind, lead):
+    # In every kind offset -1 has no dynamic target; "plain" has no static
+    # rows and "static" no dynamic ones.
+    rng = np.random.default_rng(16)
+    clouds, masks = _chamfer_scene(rng, kind, n=200)
+    term = MaskedChamfer(clouds, masks, OFFSETS)
+    sets = [_flows(rng, 200) for _ in range(6)]
+    pairs = term.pairs(_as_sets(sets[0]))
+    _assert_stack_matches_single_calls(lambda flows: term(flows, pairs=pairs), sets, lead)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("labels", LABELS)
+def test_stacked_rigidity_values_equal_single_calls(labels, lead):
+    rng = np.random.default_rng(17)
+    term = Rigidity(_pieces(rng, labels, 70, 5))
+    _assert_stack_matches_single_calls(term, [_flows(rng, 70) for _ in range(6)], lead)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("offsets", [(-1, 1), OFFSETS, (-2, -1, 1, 2, 3)], ids=["2", "3", "5"])
+def test_stacked_temporal_consistency_values_equal_single_calls(offsets, lead):
+    rng = np.random.default_rng(18)
+    term = TemporalConsistency(FrameSet(offsets=offsets))
+    sets = [{t: rng.normal(scale=0.3, size=(80, 3)) for t in offsets} for _ in range(6)]
+    _assert_stack_matches_single_calls(term, sets, lead)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+def test_stacked_smoothness_values_equal_single_calls(lead):
+    rng = np.random.default_rng(19)
+    cloud = PointCloud(0, rng.normal(size=(60, 3)))
+    nbr = smoothness_neighbors(cloud.points, 4)
+    sets = [{1: rng.normal(size=(60, 3))} for _ in range(6)]
+
+    def call(flows):
+        return smoothness(cloud, flows[1], k=4, neighbors=nbr)
+
+    _assert_stack_matches_single_calls(call, sets, lead)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_stacked_chamfer_operand_values_equal_single_calls(side):
+    rng = np.random.default_rng(20)
+    a, b = rng.normal(size=(50, 3)), rng.normal(size=(40, 3))
+    pairs = chamfer_pairs(a, b)
+    probes = [x + rng.normal(scale=0.01, size=x.shape) for x in [(a, b)[side]] * 6]
+
+    def value(x):
+        return _chamfer(x, b, pairs)[0] if side == 0 else _chamfer(a, x, pairs)[0]
+
+    assert np.array_equal(value(np.stack(probes)), [value(x) for x in probes])
+
+
+def test_stacked_flows_take_no_gradient():
+    rng = np.random.default_rng(21)
+    clouds, masks = _chamfer_scene(rng, "mixed")
+    flows = _flows(rng, len(clouds[0]))
+    stack = _stack([flows, flows], (2,))
+    mc = MaskedChamfer(clouds, masks, OFFSETS)
+    pairs = mc.pairs(_as_sets(flows))
+    cloud = PointCloud(0, rng.normal(size=(len(clouds[0]), 3)))
+    calls = [
+        lambda: mc(stack, with_grad=True, pairs=pairs),
+        lambda: Rigidity(_pieces(rng, "with-unlabeled", len(clouds[0]), 5))(stack, with_grad=True),
+        lambda: TemporalConsistency(FrameSet(offsets=OFFSETS))(stack, with_grad=True),
+        lambda: smoothness(cloud, stack[1], k=4, with_grad=True),
+        lambda: _chamfer(stack[1].flows, cloud.points, chamfer_pairs(flows[1], cloud.points), "a"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a stack"):
+            call()
+
+
+def test_stacked_masked_chamfer_needs_pairs():
+    rng = np.random.default_rng(22)
+    clouds, masks = _chamfer_scene(rng, "mixed")
+    flows = _flows(rng, len(clouds[0]))
+    with pytest.raises(ValueError, match="pairs"):
+        MaskedChamfer(clouds, masks, OFFSETS)(_stack([flows, flows], (2,)))

@@ -186,6 +186,17 @@ def test_rigidity_piece_sums_match_per_column_bincount(rng):
     np.testing.assert_array_equal(term._piece_sums(x), ref)
 
 
+def test_rigidity_with_a_piece_id_that_has_no_points():
+    # Piece 1 has no points: no 0/0 warning (an error under pytest), and it
+    # still counts in N_r = 3. Piece 0 deviates +/-1 in x at weight 1/(3*2).
+    pieces = RigidPieces(0, [0, 0, 2, 2, -1], 3)
+    f = np.zeros((5, 3))
+    f[0, 0], f[1, 0] = 1.0, 3.0
+    res = rigidity(pieces, {1: PointFlowSet(1, f)}, with_grad=True)
+    assert res.value == pytest.approx(1 / 3)
+    assert res.grad[1][:, 0].tolist() == pytest.approx([-1 / 6, 1 / 6, 0.0, 0.0, 0.0])
+
+
 def test_rigidity_empty_pieces_is_zero():
     pieces = RigidPieces(0, np.full(3, -1, dtype=np.int32), 0)
     flows = {1: PointFlowSet(1, np.ones((3, 3)))}
