@@ -89,6 +89,8 @@ def _load(path: str, magic: bytes, build: Callable):
     need = start + math.prod(shape) * np.dtype(dtype).itemsize
     if len(buf) < need:
         raise TruncatedError(f"{path}: need {need} bytes, have {len(buf)}")
+    if len(buf) > need:
+        raise InconsistentCountsError(f"{path}: {len(buf) - need} bytes after the {need}-byte record")
     payload = np.frombuffer(buf, dtype, math.prod(shape), start).reshape(shape)
     try:
         return build(words, payload)

@@ -55,7 +55,7 @@ class PointCloud:
     points: np.ndarray  # (N, 3) float64
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.asarray(self.points, dtype=np.float64).view()
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must have shape (N, 3)")
         if not np.all(np.isfinite(pts)):
@@ -76,7 +76,7 @@ class BevMotionField:
     values: np.ndarray  # (cells_x, cells_y, 2) float64
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64).view()
         expect = (self.spec.cells_x, self.spec.cells_y, 2)
         if vals.shape != expect:
             raise ValueError(f"field shape {vals.shape} != {expect}")
@@ -99,7 +99,7 @@ class PointFlowSet:
     flows: np.ndarray  # (N, 3) or (..., N, 3) float64
 
     def __post_init__(self):
-        f = np.asarray(self.flows, dtype=np.float64)
+        f = np.asarray(self.flows, dtype=np.float64).view()
         if f.ndim < 2 or f.shape[-1] != 3:
             raise ValueError("flows must have shape (N, 3) or (..., N, 3)")
         f.setflags(write=False)

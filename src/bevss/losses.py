@@ -162,11 +162,17 @@ class _CertifiedPairs:
     neighbor j if 2 delta < gap - TIE, gap being the margin of the second
     nearest target point over j at that query (triangle inequality).
     b->a: S sums, over calls, the largest movement of any moving point; a
-    target point keeps its neighbor i if |b - a[i]| < e2 - (S - S_anchor)
-    - TIE, e2 being its second distance and S_anchor the value of S at its
-    last query. Each point is first queried at construction and each
-    target at the first call; a large jump or a tie fails the tests, so
-    the pairs equal chamfer_pairs(a, b) whatever the call history.
+    target point keeps its neighbor i if
+    |b - a[i]| < min(ef, em - (S - S_anchor)) - TIE, ef and em being its
+    distances to the nearest fixed and the nearest moving point other than
+    i at its last query, and S_anchor the value of S then. A fixed point
+    does not move, so ef is exact and only em pays for the movement. When
+    a fixed point starts moving, every target merges the two parts
+    (em = min(em, ef), ef = inf) until its next query: S counts that
+    point's movement from that call on. Each point is first queried at
+    construction and each target at the first call; a large jump or a tie
+    fails the tests, so the pairs equal chamfer_pairs(a, b) whatever the
+    call history.
 
     Fixed points: the points that have stayed bit for bit at their
     construction positions at every call so far (a set that only shrinks)
@@ -178,11 +184,12 @@ class _CertifiedPairs:
     takes the two nearest fixed points of the target, found for every
     target by one tree query the first time they are needed after the
     fixed set shrank, and the two nearest of the other rows, from a tree
-    of those rows alone. The best two of the four are the two nearest of
-    all, with the same distances, and a tie is broken by a k=1 query on
+    of those rows alone. The nearest of the four is the nearest of all,
+    the others give ef and em, and a tie is broken by a k=1 query on
     cKDTree(a) as before, so the pairs stay exact. The split pays only
     while the fixed points outnumber the others; once they do not, it is
-    dropped for good and every call runs the all-rows path. In the
+    dropped for good and every call runs the all-rows path, where ef stays
+    inf and em is the second distance of a query on cKDTree(a). In the
     synthetic scenes a static point repeats bit for bit in every frame,
     so its flow stays exactly 0; a masked config warps only
     pseudo-dynamic points, which all move.
@@ -196,7 +203,10 @@ class _CertifiedPairs:
         self.a_to_b, self.gap = idx.copy(), d2 - d1
         self.s = 0.0
         self.b_to_a = np.zeros(len(b), dtype=np.intp)
-        self.e2 = np.full(len(b), -np.inf)  # -inf: never certified yet
+        # Per target, at its last query: distance to the nearest fixed and
+        # to the nearest moving point other than b_to_a (em -inf: never
+        # certified yet).
+        self.ef, self.em = np.full(len(b), np.inf), np.full(len(b), -np.inf)
         self.s_anchor = np.zeros(len(b))
         self.e1 = np.zeros(len(b))  # |b - a[b_to_a]| at the last query
         self.fixed = np.ones(len(a), dtype=bool)  # None once the split is dropped
@@ -211,29 +221,36 @@ class _CertifiedPairs:
         if left.any():
             self.fixed &= ~left
             self.near_f = None
+            # A point that leaves has moved by at most S - S_anchor, which
+            # counts it from this call on: bound it with the moving ones.
+            np.minimum(self.em, self.ef, out=self.em)
+            self.ef[:] = np.inf
             if 2 * np.count_nonzero(self.fixed) > len(self.fixed):
                 self.rows = np.flatnonzero(~self.fixed)
             else:  # the split pays only while the fixed points outnumber the others
                 self.fixed, self.rows = None, slice(None)
 
     def _two_nearest(self, a: np.ndarray, x: np.ndarray, redo: np.ndarray):
-        """_nearest(cKDTree(a), x) for the targets x = b[redo], from the two
-        nearest fixed points of each target, found once per fixed set, and
-        the two nearest of a tree of the other rows. A k=2 query on a tree
-        of one point gives an inf second distance."""
+        """(index, ef, em) of the targets x = b[redo]: the index of
+        _nearest(cKDTree(a), x) and the distances to the nearest fixed and
+        the nearest moving point other than it, from the two nearest fixed
+        points of each target, found once per fixed set, and the two
+        nearest of a tree of the other rows. A k=2 query on a tree of one
+        point gives an inf second distance."""
         if self.near_f is None:
             f_idx = np.flatnonzero(self.fixed)
             d, i = cKDTree(self.base[f_idx]).query(self.b, k=2)
             self.near_f = d, f_idx[i[:, 0]]
         d, idx = self.near_f[0][redo], self.near_f[1][redo]
-        d1, d2 = d[:, 0], d[:, 1]
+        d1, ef, em = d[:, 0], d[:, 1], np.full(len(x), np.inf)
         if len(self.rows):
             dm, im = cKDTree(a[self.rows]).query(x, k=2)
             f = d1 <= dm[:, 0]  # the nearest point is a fixed one
             idx = np.where(f, idx, self.rows[im[:, 0]])
-            d2 = np.where(f, np.minimum(d2, dm[:, 0]), np.minimum(d1, dm[:, 1]))
+            ef, em = np.where(f, ef, d1), np.where(f, dm[:, 0], dm[:, 1])
             d1 = np.where(f, d1, dm[:, 0])
-        return _untie(idx, d1, d2, x, lambda: cKDTree(a))
+        idx, _, _ = _untie(idx, d1, np.minimum(ef, em), x, lambda: cKDTree(a))
+        return idx, ef, em
 
     def __call__(self, a: np.ndarray):
         if self.fixed is not None:
@@ -255,15 +272,15 @@ class _CertifiedPairs:
             e1 = self.e1
             moved = ~self.fixed[self.b_to_a]  # targets whose neighbor is not fixed
             e1[moved] = np.linalg.norm(self.b[moved] - a[self.b_to_a[moved]], axis=1)
-        redo = ~(e1 < self.e2 - (self.s - self.s_anchor) - TIE)
+        redo = ~(e1 < np.minimum(self.ef, self.em - (self.s - self.s_anchor)) - TIE)
         if redo.any():
             x = self.b[redo]
             if self.fixed is None:
-                idx, _, e2 = _nearest(cKDTree(a), x)
+                idx, _, em = _nearest(cKDTree(a), x)
             else:
-                idx, _, e2 = self._two_nearest(a, x, redo)
+                idx, self.ef[redo], em = self._two_nearest(a, x, redo)
                 e1[redo] = np.linalg.norm(x - a[idx], axis=1)
-            self.b_to_a[redo], self.e2[redo], self.s_anchor[redo] = idx, e2, self.s
+            self.b_to_a[redo], self.em[redo], self.s_anchor[redo] = idx, em, self.s
         return self.a_to_b.copy(), self.b_to_a.copy()
 
 

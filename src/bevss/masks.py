@@ -37,7 +37,7 @@ class StaticDynamicMask:
     status: np.ndarray  # (N,) uint8 of STATIC/DYNAMIC/UNKNOWN
 
     def __post_init__(self):
-        s = np.asarray(self.status, dtype=np.uint8)
+        s = np.asarray(self.status, dtype=np.uint8).view()
         if s.ndim != 1:
             raise ValueError("status must be 1-D")
         if not np.all(s <= UNKNOWN):

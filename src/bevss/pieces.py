@@ -46,7 +46,7 @@ class Segmentation2D:
     labels: np.ndarray  # (H, W) int32, contiguous ids 0..K-1
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int32)
+        lab = np.asarray(self.labels, dtype=np.int32).view()
         if lab.ndim != 2:
             raise ValueError("labels must be 2-D")
         lab.setflags(write=False)
@@ -64,7 +64,7 @@ class RigidPieces:
     piece_count: int
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int32)
+        lab = np.asarray(self.labels, dtype=np.int32).view()
         if lab.ndim != 1:
             raise ValueError("labels must be 1-D")
         if lab.size and lab.max() >= self.piece_count:

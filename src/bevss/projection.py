@@ -26,7 +26,7 @@ class CalibratedCamera:
     height: int
 
     def __post_init__(self):
-        m = np.asarray(self.proj, dtype=np.float64)
+        m = np.asarray(self.proj, dtype=np.float64).view()
         if m.shape != (3, 4):
             raise ValueError("proj must be 3x4")
         if not np.all(np.isfinite(m)):
@@ -49,7 +49,7 @@ class FlowImage:
     data: np.ndarray  # (H, W, 2) float32
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float32)
+        d = np.asarray(self.data, dtype=np.float32).view()
         if d.ndim != 3 or d.shape[2] != 2:
             raise ValueError("flow data must have shape (H, W, 2)")
         if not np.all(np.isfinite(d)):

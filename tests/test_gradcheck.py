@@ -9,7 +9,7 @@ from bevss import gradcheck
 def _loop_fd_err(fun, x, analytic, step):
     """gradcheck._fd_err probing one coordinate at a time, two calls each.
 
-    fun gets a copy of x at each call: the loss may make its input read-only.
+    fun gets its own copy of x at each call, so nothing it keeps changes with x.
     """
     x = x.copy()
     f0 = fun(x.copy())

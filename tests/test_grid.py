@@ -135,3 +135,37 @@ def test_motion_field_validation():
     with pytest.raises(ValueError):
         BevMotionField(SPEC, 1, np.full((SPEC.cells_x, SPEC.cells_y, 2), np.inf))
 
+
+
+def _frozen_attributes():
+    """One case per data class that freezes an array it holds: the function
+    that builds the class from an array and returns that attribute, and an
+    array of the type it stores."""
+    from bevss.grid import PointFlowSet
+    from bevss.masks import StaticDynamicMask
+    from bevss.pieces import RigidPieces, Segmentation2D
+    from bevss.projection import CalibratedCamera, FlowImage
+
+    small = BevGridSpec(-1.0, 1.0, -1.0, 1.0, cell_size=0.5)
+    return [
+        pytest.param(lambda a: PointCloud(0, a).points, np.zeros((4, 3)), id="cloud"),
+        pytest.param(lambda a: BevMotionField(small, 1, a).values, np.zeros((4, 4, 2)), id="field"),
+        pytest.param(lambda a: PointFlowSet(1, a).flows, np.zeros((4, 3)), id="flows"),
+        pytest.param(lambda a: PointFlowSet(1, a).flows, np.zeros((2, 4, 3)), id="stacked flows"),
+        pytest.param(lambda a: StaticDynamicMask(0, a).status, np.zeros(4, dtype=np.uint8), id="mask"),
+        pytest.param(lambda a: CalibratedCamera(0, 0, a, 8, 8).proj, np.eye(3, 4), id="camera"),
+        pytest.param(lambda a: FlowImage(0, 0, 1, a).data, np.zeros((2, 3, 2), dtype=np.float32), id="flow image"),
+        pytest.param(lambda a: Segmentation2D(0, a).labels, np.zeros((2, 3), dtype=np.int32), id="segmentation"),
+        pytest.param(lambda a: RigidPieces(0, a, 1).labels, np.zeros(4, dtype=np.int32), id="pieces"),
+    ]
+
+
+@pytest.mark.parametrize("attribute, array", _frozen_attributes())
+def test_frozen_attribute_leaves_the_callers_array_writable(attribute, array):
+    held = attribute(array)
+    assert np.shares_memory(held, array)  # no copy of an array of the stored type
+    assert not held.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        held[...] = 1
+    array[...] = 1  # the caller's own array stays writable
+    assert array.flags.writeable

@@ -361,6 +361,19 @@ def test_corrupt_records_load_or_raise_io_error(tmp_path_factory, data):
             pass
 
 
+@pytest.mark.parametrize("ext", sorted(FUZZ_RECORDS))
+@pytest.mark.parametrize("extra", [1, 12])
+def test_bytes_after_the_record_raise_named_error(tmp_path, ext, extra):
+    save, load = FUZZ_RECORDS[ext]
+    path = str(tmp_path / f"long.{ext}")
+    save(path)
+    load(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * extra)
+    with pytest.raises(fileio.InconsistentCountsError, match=f"long.{ext}: {extra} bytes after"):
+        load(path)
+
+
 @pytest.mark.parametrize(
     "save, value, expected",
     [

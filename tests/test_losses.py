@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from bevss.grid import FrameSet, PointCloud, PointFlowSet
@@ -535,6 +537,75 @@ def test_certified_pairs_with_a_fixed_and_a_moving_point_tied(moving):
         a[moving, 0] = x
         _assert_fresh(nn, a)
     assert nn.fixed.tolist() == [moving != 0, moving != 1, True]
+
+
+def test_still_neighbors_outlast_a_far_moving_point(monkeypatch):
+    # Target 0 has its two nearest points still: (1, 0, 0) at 1 m and
+    # (0, 2, 0) at 2 m, a margin of 1 m. The far point at (50, 0, 0) moves
+    # 0.5 m per call from the first call on, so the summed movement S
+    # passes that margin at the third call; only the moving part of the
+    # bound pays for it. Three far still points keep the split.
+    target = np.array([[0.0, 0.0, 0.0], [60.0, 0.0, 0.0]])
+    points0 = np.array([[1.0, 0, 0], [0, 2.0, 0], [50.0, 0, 0], [-50.0, 0, 0], [-50.0, 5, 0], [-50.0, 9, 0]])
+    nn = _CertifiedPairs(points0, target)
+    queried = []
+    two_nearest = _CertifiedPairs._two_nearest
+
+    def recording(self, a, x, redo):
+        queried.append(np.flatnonzero(redo).tolist())
+        return two_nearest(self, a, x, redo)
+
+    monkeypatch.setattr(_CertifiedPairs, "_two_nearest", recording)
+    a = points0
+    for _ in range(8):
+        a = a.copy()
+        a[2, 0] += 0.5
+        _assert_fresh(nn, a)
+    assert nn.s == 4.0
+    assert queried == [[0, 1]]
+    # The still point that sets target 0's still bound starts moving: from
+    # 2 m away to 1.5 m (still behind (1, 0, 0)), to 0.9 m (in front), and
+    # back out to 2 m.
+    for y in (1.5, 0.9, 0.9, 2.0):
+        a = a.copy()
+        a[1, 1] = y
+        _assert_fresh(nn, a)
+    assert nn.fixed.tolist() == [True, False, False, True, True, True]
+    assert 0 in queried[-1]
+
+
+_HALF = st.integers(-6, 6).map(lambda k: k / 2.0)  # exact, so distances tie often
+_POINT = st.tuples(_HALF, _HALF, _HALF)
+_NUDGE = st.tuples(*[st.floats(-0.3, 0.3, allow_nan=False)] * 3)
+
+
+@st.composite
+def _pair_schedules(draw):
+    """(construction points, target points, the points at each call): at
+    each call some rows step by a half-grid vector (onto exact ties), move
+    off the grid, or return bit for bit to their construction position."""
+    base = np.array(draw(st.lists(_POINT, min_size=1, max_size=10)))
+    target = np.array(draw(st.lists(_POINT, min_size=1, max_size=10)))
+    a, calls = base, []
+    for _ in range(draw(st.integers(1, 10))):
+        a = a.copy()
+        for row in draw(st.sets(st.integers(0, len(base) - 1), max_size=3)):
+            how = draw(st.sampled_from(["step", "nudge", "back"]))
+            if how == "back":
+                a[row] = base[row]
+            else:
+                a[row] += draw(_POINT if how == "step" else _NUDGE)
+        calls.append(a)
+    return base, target, calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(schedule=_pair_schedules())
+def test_certified_pairs_equal_fresh_pairs_on_any_schedule(schedule):
+    base, target, calls = schedule
+    nn = _CertifiedPairs(base, target)
+    for a in calls:
+        _assert_fresh(nn, a)
 
 
 def test_gradcheck_builds_each_term_once_per_instance(monkeypatch):
