@@ -54,9 +54,9 @@ def _add_label_args(p):
 
 def _problem(args, **optim):
     """The scene of args with its stored labels (the default ones if it
-    has none) and the OptimConfig of its offsets and the loss options."""
+    has none) and the OptimConfig of the loss options."""
     bundle = fileio.load_scene(args.scene)
-    cfg = OptimConfig(frame_set=bundle.frame_set, weights=_weights(args), use_mask=not args.no_mask, **optim)
+    cfg = OptimConfig(weights=_weights(args), use_mask=not args.no_mask, **optim)
     return prepare_supervision(bundle), cfg
 
 
@@ -93,7 +93,7 @@ def _saved_objective(bundle, cfg: OptimConfig, pred_dir: str) -> dict:
     """Loss components of cfg's objective at the fields saved in pred_dir."""
     space = cell_space(bundle, cfg)
     fields = {}
-    for t in cfg.frame_set.offsets:  # only the occupied cells of each are kept
+    for t in bundle.frame_set.offsets:  # only the occupied cells of each are kept
         fields[t] = fileio.load_field(fileio.field_path(pred_dir, t), bundle.grid).values[space.cells]
     components, _ = field_loss_and_gradients(space, fields)
     return components
@@ -137,9 +137,10 @@ def cmd_optimize(args) -> int:
 def cmd_eval(args) -> int:
     bundle = fileio.load_scene(args.scene)
     horizon_frames = args.horizon / bundle.frame_set.frame_interval_s
-    for t in bundle.frame_set.offsets:
+    # Every ground-truth field is looked up before the first line is printed.
+    gts = {t: _need(bundle.gt_fields, t, f"ground-truth field for offset {t}") for t in bundle.frame_set.offsets}
+    for t, gt in gts.items():
         pred = fileio.load_field(fileio.field_path(args.pred, t), bundle.grid)
-        gt = bundle.gt_fields[t]
         pred_h = evaluation.interpolate_flow(pred, horizon_frames)
         gt_h = evaluation.interpolate_flow(gt, horizon_frames)
         rep = evaluation.evaluate(pred_h, gt_h, bundle.clouds[0], horizon_s=args.horizon)

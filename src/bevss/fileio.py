@@ -260,10 +260,10 @@ def load_scene(manifest_path: str) -> SceneBundle:
                 velocities = np.array([float(x) for x in value.split()]).reshape(-1, 2)
             elif kind in rows and len(key_parts) == rows[kind][2].count("{}") + 1:
                 idx = tuple(int(x) for x in key_parts[1:])
-                paths[kind][idx if len(idx) > 1 else idx[0]] = value
+                paths[kind][idx if len(idx) > 1 else idx[0]] = os.path.join(base, value)
             elif kind == "camera":
                 cam_id, t = int(key_parts[1]), int(key_parts[2])
-                size, proj = None, None
+                size, proj, block = None, None, lineno
                 while i < len(raw_lines) and raw_lines[i].startswith("  "):
                     lineno = i + 1
                     sub_key, _, sub_val = raw_lines[i].strip().partition(":")
@@ -274,11 +274,12 @@ def load_scene(manifest_path: str) -> SceneBundle:
                     elif sub_key == "proj":
                         proj = np.array([float(x) for x in sub_val.split()]).reshape(3, 4)
                     i += 1
+                lineno = block  # the block as a whole is named by its first line
                 if size is None or proj is None:
                     raise ValueError(f"camera {cam_id} {t}: incomplete block")
                 cameras[(cam_id, t)] = CalibratedCamera(cam_id, t, proj, size[0], size[1])
             elif kind == "pieces":
-                pieces_path = value
+                pieces_path = os.path.join(base, value)
             else:
                 raise ValueError(f"bad manifest key {key.strip()!r}")
         except (ValueError, IndexError) as exc:
@@ -299,15 +300,21 @@ def load_scene(manifest_path: str) -> SceneBundle:
             raise InconsistentCountsError(f"{manifest_path}: frame {t} needs {', '.join(missing)}")
 
     loaded = {
-        attr: {k: load(os.path.join(base, p), k, grid) for k, p in paths[kind].items()}
+        attr: {k: load(p, k, grid) for k, p in paths[kind].items()}
         for kind, attr, _, _, load in rows.values()
     }
-    pieces = load_pieces(os.path.join(base, pieces_path)) if pieces_path else None
+    pieces = load_pieces(pieces_path) if pieces_path else None
     for t, cloud in loaded["clouds"].items():
-        for attr in ("gt_masks", "gt_instances", "visibility", "pseudo_masks"):
-            if t in loaded[attr] and len(loaded[attr][t]) != len(cloud):
-                raise InconsistentCountsError(f"frame {t}: {attr} disagrees with the cloud")
+        for kind in ("gt_mask", "gt_instances", "gt_visible", "mask"):
+            if t in paths[kind] and len(loaded[rows[kind][1]][t]) != len(cloud):
+                raise InconsistentCountsError(f"{paths[kind][t]}: length differs from cloud {t}")
     if pieces is not None and len(pieces) != len(loaded["clouds"][0]):
-        raise InconsistentCountsError("pieces disagree with frame-0 cloud")
+        raise InconsistentCountsError(f"{pieces_path}: length differs from cloud 0")
+    for (k, t), flow in loaded["flow_images"].items():
+        h, w = flow.data.shape[:2]
+        for cam in filter(None, (cameras.get((k, t)), cameras.get((k, t + 1)))):
+            if (h, w) != (cam.height, cam.width):
+                size = f"camera {k} {cam.frame_index} is {cam.width}x{cam.height}"
+                raise InconsistentCountsError(f"{paths['flow'][k, t]}: {w}x{h} flow, {size}")
     return SceneBundle(grid, frame_set, cameras=cameras, actor_velocities=velocities,
                        camera_ids=camera_ids, pieces=pieces, **loaded)

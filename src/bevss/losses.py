@@ -295,19 +295,16 @@ class MaskedChamfer:
     """
 
     def __init__(self, clouds: dict, masks: dict, offsets):
-        if 0 not in clouds or 0 not in masks:
-            raise ValueError("frame 0 cloud and mask are required")
-        cloud0, mask0 = clouds[0], masks[0]
-        if len(cloud0) != len(mask0):
-            raise ValueError("frame 0 cloud and mask lengths differ")
         self.offsets = tuple(sorted(offsets))
-        for t in self.offsets:
-            if t not in clouds or t not in masks:
-                raise ValueError(f"missing frame data for offset {t}")
+        for t in (0, *self.offsets):
+            if t not in clouds:
+                raise ValueError(f"frame {t} has no point cloud")
+            if t not in masks:
+                raise ValueError(f"frame {t} has no pseudo mask")
             if len(clouds[t]) != len(masks[t]):
-                raise ValueError(f"cloud and mask lengths differ at offset {t}")
-        dyn0 = mask0.status == DYNAMIC
-        self.n0 = len(cloud0)
+                raise ValueError(f"frame {t}: {len(masks[t])} mask entries for {len(clouds[t])} points")
+        dyn0 = masks[0].status == DYNAMIC
+        self.n0 = len(clouds[0])
         self.dyn_idx = np.flatnonzero(dyn0)
         self.stat_idx = np.flatnonzero(~dyn0)
         self.n_stat = float(self.stat_idx.size)
@@ -318,7 +315,7 @@ class MaskedChamfer:
         self.g_stat = np.zeros((self.n0, 3))
         if self.stat_idx.size:
             self.g_stat[self.stat_idx] = 1.0 / self.n_stat / len(self.offsets)
-        self.dyn_points = cloud0.points[self.dyn_idx]
+        self.dyn_points = clouds[0].points[self.dyn_idx]
         # One pair state per offset whose Chamfer term is on; it holds the
         # dynamic target points of that offset.
         self.nn = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BevGridSpec, BevMotionField, FrameSet, PointFlowSet, cell_keys
+from .grid import BevGridSpec, BevMotionField, PointFlowSet, cell_keys
 from .losses import LossWeights, MaskedChamfer, Rigidity, TemporalConsistency
 from .masks import DYNAMIC, UNKNOWN, MaskThresholds, StaticDynamicMask, build_mask, lift_frame
 from .pieces import PieceParams, build_pieces
@@ -39,7 +39,6 @@ class OptimConfig:
     max_iters: int = 500
     learning_rate: float = 0.05  # meters per step
     convergence_tol: float = 1e-5  # relative loss change over 10 iterations
-    frame_set: FrameSet = FrameSet()
     weights: LossWeights = LossWeights()
     use_mask: bool = True  # False = plain Chamfer on the full clouds
 
@@ -107,20 +106,13 @@ class CellSpace:
 
 
 def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
-    """Check the bundle against cfg and build the cell-space problem."""
-    offsets = cfg.frame_set.offsets
-    for t in offsets:
-        if t not in bundle.clouds:
-            raise ValueError(f"missing point cloud for offset {t}")
+    """Build the cell-space problem of cfg over the offsets of the bundle."""
+    offsets = bundle.frame_set.offsets
     if cfg.use_mask:
         masks = bundle.pseudo_masks
-        for t in (0, *offsets):
-            if t not in masks:
-                raise ValueError(f"missing pseudo mask for frame {t}")
-            if len(masks[t]) != len(bundle.clouds[t]):
-                raise ValueError(f"cloud and mask lengths differ at frame {t}")
     else:  # plain Chamfer: every point of every frame is dynamic
-        masks = {t: StaticDynamicMask(t, np.full(len(bundle.clouds[t]), DYNAMIC, np.uint8)) for t in (0, *offsets)}
+        masks = {t: StaticDynamicMask(t, np.full(len(c), DYNAMIC, np.uint8)) for t, c in bundle.clouds.items()}
+    mc = MaskedChamfer(bundle.clouds, masks, offsets)  # checks clouds and masks, before the pieces
     w = cfg.weights
     use_pieces = w.lambda_pr > 0
     if use_pieces or cfg.use_mask:  # the seed of a masked config reads the pieces too
@@ -144,9 +136,9 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         counts=np.repeat(counts.astype(np.float64)[:, None], 2, axis=1),
         flat=flat,
         weights=w,
-        mc=MaskedChamfer(bundle.clouds, masks, offsets),
+        mc=mc,
         pr=Rigidity(bundle.pieces) if use_pieces else None,
-        tc=TemporalConsistency(cfg.frame_set) if w.lambda_tc > 0 else None,
+        tc=TemporalConsistency(bundle.frame_set) if w.lambda_tc > 0 else None,
     )
 
 
@@ -239,7 +231,7 @@ def seed_velocity(bundle: SceneBundle, space: CellSpace) -> np.ndarray:
 
 
 def optimize(bundle: SceneBundle, cfg: OptimConfig):
-    """Fit one BevMotionField per predicted offset; returns (fields, report).
+    """Fit one BevMotionField per offset of the bundle; returns (fields, report).
 
     A masked config (cfg.use_mask) starts offset t of each cell at t times
     its seed_velocity: constant velocity, the exact zero of the temporal
@@ -261,7 +253,7 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
     start = time.perf_counter()
     space = cell_space(bundle, cfg)
     n_occ = space.counts.shape[0]
-    fields = {t: np.zeros((n_occ, 2)) for t in cfg.frame_set.offsets}
+    fields = {t: np.zeros((n_occ, 2)) for t in bundle.frame_set.offsets}
     seeded_cells = 0
     zero_loss = None  # L0
     if cfg.use_mask:

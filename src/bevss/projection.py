@@ -31,6 +31,8 @@ class CalibratedCamera:
             raise ValueError("proj must be 3x4")
         if not np.all(np.isfinite(m)):
             raise ValueError("proj must be finite")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"size {self.width} {self.height}: width and height must be at least 1")
         m.setflags(write=False)
         object.__setattr__(self, "proj", m)
 

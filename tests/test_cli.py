@@ -1,6 +1,7 @@
 """Command-line workflow, exercised in-process through cli.main."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -182,6 +183,21 @@ def test_eval_prints_buckets_and_kv(workspace, capsys):
         assert f"eval.1.{bucket}.mean=" in out
 
 
+def test_eval_on_a_scene_without_a_ground_truth_field(workspace, tmp_path, capsys):
+    # Every field is looked up first: no bucket line precedes the error.
+    scene = str(tmp_path / "scene")
+    shutil.copytree(workspace["scene"], scene)
+    manifest = os.path.join(scene, fileio.MANIFEST_NAME)
+    lines = open(manifest, encoding="utf-8").read().splitlines()
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(line for line in lines if not line.startswith("gt_field 1:")) + "\n")
+    capsys.readouterr()
+    assert cli.main(["eval", "--scene", scene, "--pred", workspace["pred"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the scene has no ground-truth field for offset 1\n"
+
+
 def _read_ppm_header(path):
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -254,6 +270,19 @@ def test_synth_frame_override(tmp_path):
     assert cli.main(["synth", "--preset", "static", "--frames", "1,2", "--out", scene]) == 0
     bundle = fileio.load_scene(scene)
     assert bundle.frame_set.offsets == (1, 2)
+
+
+def test_commands_after_synth_read_the_offsets_of_the_scene(tmp_path, capsys):
+    scene, pred = str(tmp_path / "s"), str(tmp_path / "p")
+    assert cli.main(["synth", "--preset", "one-box", "--frames", "1,2", "--out", scene]) == 0
+    assert cli.main(["labels", "--scene", scene]) == 0
+    assert cli.main(["optimize", "--scene", scene, "--out", pred, "--iters", "3"]) == 0
+    assert sorted(os.listdir(pred)) == ["field_1.bev", "field_2.bev", "report.txt"]
+    capsys.readouterr()
+    assert cli.main(["loss", "--scene", scene, "--pred", pred]) == 0
+    assert cli.main(["eval", "--scene", scene, "--pred", pred]) == 0
+    out = capsys.readouterr().out
+    assert "total: " in out and "offset 1:" in out and "offset 2:" in out and "offset -1:" not in out
 
 
 def test_errors_exit_with_code_1(capsys):

@@ -184,17 +184,64 @@ def test_scene_manifest_rejects_unknown_keys(tmp_path, one_box):
         fileio.load_scene(manifest)
 
 
+def _edit_manifest(out, edit):
+    """Apply edit to the manifest's list of lines; returns what edit returns."""
+    path = os.path.join(out, fileio.MANIFEST_NAME)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    where = edit(lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return where
+
+
+def _first(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
 def _edit_manifest_line(prefix, replacement):
-    def edit(out):
-        path = os.path.join(out, fileio.MANIFEST_NAME)
-        lines = open(path, encoding="utf-8").read().splitlines()
-        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    def replace(lines):
+        k = _first(lines, prefix)
         lines[k] = replacement
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
         return rf"manifest:{k + 1}\b"
 
-    return edit
+    return lambda out: _edit_manifest(out, replace)
+
+
+def _no_grid(out):
+    _edit_manifest(out, lambda lines: lines.pop(_first(lines, "grid:")))
+    return "manifest: no grid or frames line"
+
+
+def _camera_without_proj(out):
+    def edit(lines):
+        k = _first(lines, "  proj:")
+        del lines[k]
+        return rf"manifest:{k - 1}: camera \d+ -?\d+: incomplete block"  # the block's first line
+
+    return _edit_manifest(out, edit)
+
+
+def _negative_width(out):
+    def edit(lines):
+        k = _first(lines, "  size:")
+        lines[k] = "  size: -480 240"
+        return rf"manifest:{k}: size -480 240: width and height must be at least 1"
+
+    return _edit_manifest(out, edit)
+
+
+def _flow_smaller_than_its_camera(out):
+    flow = FlowImage(0, 0, 1, np.zeros((50, 100, 2), dtype=np.float32))
+    fileio.save_flow(os.path.join(out, "flows", "cam0_0.flw"), flow)
+    return r"cam0_0\.flw: 100x50 flow, camera 0 0 is 480x240"
+
+
+def _pieces_shorter_than_cloud(out):
+    pieces = RigidPieces(0, np.zeros(3, dtype=np.int32), 1)
+    fileio.save_pieces(os.path.join(out, "labels", "pieces.seg"), pieces)
+    with open(os.path.join(out, fileio.MANIFEST_NAME), "a", encoding="utf-8") as fh:
+        fh.write("pieces: labels/pieces.seg\n")
+    return r"pieces\.seg: length differs from cloud 0"
 
 
 def _label_beyond_piece_count(out):
@@ -236,10 +283,17 @@ def _nan_interval(out):
         _edit_manifest_line("grid:", "grid: -32 32 -32 32 2 -3 0.25"),
         _label_beyond_piece_count,
         _non_utf8_line,
+        _edit_manifest_line("grid:", "grid: -32 32 -32 32 -3 2"),
+        _camera_without_proj,
+        _no_grid,
+        _pieces_shorter_than_cloud,
+        _flow_smaller_than_its_camera,
+        _negative_width,
     ],
     ids=[
         "frames", "velocities", "proj", "cloud-index", "size", "no-key", "zero-offset", "nan-interval",
-        "z-extent", "seg-label", "non-utf8",
+        "z-extent", "seg-label", "non-utf8", "grid-count", "no-proj", "no-grid", "pieces-length",
+        "flow-size", "negative-size",
     ],
 )
 def test_malformed_scene_raises_named_io_error(tmp_path, one_box, corrupt):

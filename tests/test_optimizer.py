@@ -1,6 +1,7 @@
 """Direct field optimization: supervision prep, descent, and failure modes."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ def _point_field_loss_and_gradients(bundle, fields, cfg):
     gradients scattered into cells point by point."""
     cloud0 = bundle.clouds[0]
     idx, valid = cell_indices(cloud0.points, bundle.grid)
-    offsets = list(cfg.frame_set.offsets)
+    offsets = list(bundle.frame_set.offsets)
     flows = {t: PointFlowSet(t, gather_flows(fields[t], idx, valid)) for t in offsets}
     if cfg.use_mask:
         masks = dict(bundle.pseudo_masks)
@@ -53,7 +54,7 @@ def _point_field_loss_and_gradients(bundle, fields, cfg):
     if w.lambda_pr > 0:
         terms.append(("pr", w.lambda_pr, rigidity(bundle.pieces, flows, with_grad=True)))
     if w.lambda_tc > 0:
-        tc = temporal_consistency(flows, cfg.frame_set, with_grad=True)
+        tc = temporal_consistency(flows, bundle.frame_set, with_grad=True)
         terms.append(("tc", w.lambda_tc, tc))
     components = {"total": sum(lam * part.value for _, lam, part in terms)}
     components.update({"mc": 0.0, "pr": 0.0, "tc": 0.0})
@@ -128,7 +129,7 @@ def test_gradients_at_zero_point_downhill(supervised):
     cfg = OptimConfig(max_iters=1)
     zeros = {
         t: np.zeros((supervised.grid.cells_x, supervised.grid.cells_y, 2))
-        for t in cfg.frame_set.offsets
+        for t in supervised.frame_set.offsets
     }
     space = cell_space(supervised, cfg)
     components, grads = _dense_loss_and_gradients(space, zeros)
@@ -151,7 +152,7 @@ def _zero_field_loss(bundle, cfg):
     """L0: the objective at zero fields."""
     space = cell_space(bundle, cfg)
     n_occ = space.counts.shape[0]
-    zeros = {t: np.zeros((n_occ, 2)) for t in cfg.frame_set.offsets}
+    zeros = {t: np.zeros((n_occ, 2)) for t in bundle.frame_set.offsets}
     return field_loss_and_gradients(space, zeros)[0]["total"]
 
 
@@ -164,8 +165,8 @@ def _random_fields(bundle, offsets, seed):
 def _assert_matches_point_oracle(bundle, cfg, seed=0):
     space = cell_space(bundle, cfg)
     for fields in (
-        {t: np.zeros((bundle.grid.cells_x, bundle.grid.cells_y, 2)) for t in cfg.frame_set.offsets},
-        _random_fields(bundle, cfg.frame_set.offsets, seed),
+        {t: np.zeros((bundle.grid.cells_x, bundle.grid.cells_y, 2)) for t in bundle.frame_set.offsets},
+        _random_fields(bundle, bundle.frame_set.offsets, seed),
     ):
         components, grads = _dense_loss_and_gradients(space, fields)
         ref_components, ref_grads = _point_field_loss_and_gradients(bundle, fields, cfg)
@@ -183,8 +184,28 @@ def test_cell_space_matches_point_oracle_two_box_plain(two_box):
     _assert_matches_point_oracle(two_box, OptimConfig(**PLAIN))
 
 
-def test_cell_space_matches_point_oracle_frame_subset(supervised):
-    _assert_matches_point_oracle(supervised, OptimConfig(frame_set=FrameSet(offsets=(1, 2))))
+def _one_box_with_offsets(offsets):
+    """Labeled one-box seed 0, made with offsets other than the default (-1, 1, 2)."""
+    spec = dataclasses.replace(synth.preset("one-box", seed=0), frame_set=FrameSet(offsets=offsets))
+    return prepare_supervision(synth.generate(spec))
+
+
+@pytest.fixture(scope="module")
+def frame_subset():
+    return _one_box_with_offsets((1, 2))
+
+
+@pytest.fixture(scope="module")
+def frame_superset():
+    return _one_box_with_offsets((-1, 1, 2, 3))
+
+
+def test_cell_space_matches_point_oracle_frame_subset(frame_subset):
+    _assert_matches_point_oracle(frame_subset, OptimConfig())
+
+
+def test_cell_space_matches_point_oracle_frame_superset(frame_superset):
+    _assert_matches_point_oracle(frame_superset, OptimConfig())
 
 
 def test_cell_space_matches_point_oracle_out_of_grid_points(supervised):
@@ -220,8 +241,8 @@ def test_cell_space_assigns_cell_motion(one_box, monkeypatch):
         return evaluate(self, flows, with_grad, pairs)
 
     monkeypatch.setattr(MaskedChamfer, "__call__", record)
-    field_loss_and_gradients(space, {t: values[space.cells] for t in cfg.frame_set.offsets})
-    assert seen[0].keys() == set(cfg.frame_set.offsets)
+    field_loss_and_gradients(space, {t: values[space.cells] for t in bundle.frame_set.offsets})
+    assert seen[0].keys() == set(bundle.frame_set.offsets)
     for t, flows in seen[0].items():
         assert flows.time_offset == t
         np.testing.assert_array_equal(flows.flows, [[1.5, -0.5, 0.0], [0.0] * 3, [0.0] * 3])
@@ -251,7 +272,7 @@ def test_optimize_matches_point_oracle_descent(supervised, config):
     denom = np.maximum(counts, 1.0)[:, :, None]
     velocity = _dense_seed(supervised, cfg)
     assert velocity.any() == (config == "full")
-    ref = {t: np.zeros((spec.cells_x, spec.cells_y, 2)) + t * velocity for t in cfg.frame_set.offsets}
+    ref = {t: np.zeros((spec.cells_x, spec.cells_y, 2)) + t * velocity for t in supervised.frame_set.offsets}
     totals = []
     for _ in range(cfg.max_iters):
         components, grads = _point_field_loss_and_gradients(supervised, ref, cfg)
@@ -275,7 +296,7 @@ def test_trajectory_records_step_size_and_gradient_norm(supervised):
     lrs = [entry["lr"] for entry in report.trajectory]
     assert lrs[:100] == [0.05] * 100 and lrs[100:] == [0.025] * 2
     velocity = _dense_seed(supervised, cfg)
-    seeded = {t: t * velocity for t in cfg.frame_set.offsets}
+    seeded = {t: t * velocity for t in supervised.frame_set.offsets}
     _, grads = _point_field_loss_and_gradients(supervised, seeded, cfg)
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     assert report.trajectory[0]["grad_norm"] == pytest.approx(norm, rel=1e-12)
@@ -297,10 +318,14 @@ def test_stop_reason_tol(supervised):
     assert report.final == {k: report.trajectory[-1][k] for k in ("total", "mc", "pr", "tc")}
 
 
-def test_optimize_respects_frame_subset(supervised):
-    cfg = OptimConfig(max_iters=5, frame_set=FrameSet(offsets=(1, 2)))
-    fields, _ = optimize(supervised, cfg)
+def test_optimize_respects_frame_subset(frame_subset):
+    fields, _ = optimize(frame_subset, OptimConfig())
     assert set(fields) == {1, 2}
+
+
+def test_optimize_respects_frame_superset(frame_superset):
+    fields, _ = optimize(frame_superset, OptimConfig())
+    assert set(fields) == {-1, 1, 2, 3}
 
 
 def test_optimize_diverges_with_huge_learning_rate(supervised):
@@ -338,7 +363,7 @@ def test_optimize_requires_supervision(one_box):
     bare = copy.copy(one_box)
     bare.pseudo_masks = {}
     bare.pieces = None
-    with pytest.raises(ValueError, match="mask"):
+    with pytest.raises(ValueError, match="frame 0 has no pseudo mask"):
         optimize(bare, OptimConfig())
     with pytest.raises(ValueError, match="pieces"):
         optimize(bare, OptimConfig(use_mask=False))
@@ -351,9 +376,27 @@ def test_optimize_requires_supervision(one_box):
 
 
 def test_optimize_requires_all_offset_clouds(supervised):
-    cfg = OptimConfig(frame_set=FrameSet(offsets=(1, 5)))
-    with pytest.raises(ValueError, match="missing point cloud"):
-        optimize(supervised, cfg)
+    bundle = copy.copy(supervised)
+    bundle.frame_set = FrameSet(offsets=(1, 5))
+    for cfg in (OptimConfig(), OptimConfig(**PLAIN)):
+        with pytest.raises(ValueError, match="frame 5 has no point cloud"):
+            optimize(bundle, cfg)
+
+
+def test_optimize_requires_a_mask_for_every_offset(supervised):
+    bundle = copy.copy(supervised)
+    bundle.pseudo_masks = {t: m for t, m in supervised.pseudo_masks.items() if t != 2}
+    with pytest.raises(ValueError, match="frame 2 has no pseudo mask"):
+        optimize(bundle, OptimConfig())
+
+
+def test_optimize_requires_one_mask_entry_per_point(supervised):
+    bundle = copy.copy(supervised)
+    short = StaticDynamicMask(1, supervised.pseudo_masks[1].status[:-1])
+    bundle.pseudo_masks = {**supervised.pseudo_masks, 1: short}
+    n = len(supervised.clouds[1])
+    with pytest.raises(ValueError, match=f"frame 1: {n - 1} mask entries for {n} points"):
+        optimize(bundle, OptimConfig())
 
 
 # --- the seed of the masked descent ----------------------------------------
@@ -385,7 +428,7 @@ def test_seed_alone_recovers_one_box_actor_cells(supervised):
     inst = supervised.gt_instances[0]
     idx, valid = cell_indices(supervised.clouds[0].points, supervised.grid)
     actor = tuple(np.unique(idx[(inst == 0) & valid], axis=0).T)
-    for t in OptimConfig().frame_set.offsets:
+    for t in supervised.frame_set.offsets:
         err = np.linalg.norm(t * velocity[actor] - supervised.gt_fields[t].values[actor], axis=1)
         assert err.max() <= 0.05, f"t={t}: seed error {err.max():.4f} m"
     # Only cells with actor points start away from zero.

@@ -97,6 +97,9 @@ def test_camera_validation():
         CalibratedCamera(0, 0, np.zeros((3, 3)), 480, 240)
     with pytest.raises(ValueError):
         CalibratedCamera(0, 0, np.full((3, 4), np.nan), 480, 240)
+    for width, height in ((0, 240), (480, -240)):
+        with pytest.raises(ValueError, match="width and height must be at least 1"):
+            CalibratedCamera(0, 0, np.eye(3, 4), width, height)
     with pytest.raises(ValueError):
         FlowImage(0, 0, 1, np.zeros((4, 4, 3)))
 
