@@ -137,13 +137,16 @@ def cmd_optimize(args) -> int:
 def cmd_eval(args) -> int:
     bundle = fileio.load_scene(args.scene)
     horizon_frames = args.horizon / bundle.frame_set.frame_interval_s
-    # Every ground-truth field is looked up before the first line is printed.
+    # Every offset is evaluated before the first line is printed, one
+    # prediction field in memory at a time.
     gts = {t: _need(bundle.gt_fields, t, f"ground-truth field for offset {t}") for t in bundle.frame_set.offsets}
+    reports = {}
     for t, gt in gts.items():
         pred = fileio.load_field(fileio.field_path(args.pred, t), bundle.grid)
         pred_h = evaluation.interpolate_flow(pred, horizon_frames)
         gt_h = evaluation.interpolate_flow(gt, horizon_frames)
-        rep = evaluation.evaluate(pred_h, gt_h, bundle.clouds[0], horizon_s=args.horizon)
+        reports[t] = evaluation.evaluate(pred_h, gt_h, bundle.clouds[0], horizon_s=args.horizon)
+    for t, rep in reports.items():
         print(f"offset {t}:")
         for name in evaluation.BUCKETS:
             b = rep.bucket(name)

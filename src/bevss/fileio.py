@@ -273,6 +273,8 @@ def load_scene(manifest_path: str) -> SceneBundle:
                             raise ValueError("size needs 2 numbers")
                     elif sub_key == "proj":
                         proj = np.array([float(x) for x in sub_val.split()]).reshape(3, 4)
+                    elif raw_lines[i].strip():  # a blank line is skipped, as outside a block
+                        raise ValueError(f"bad camera key {sub_key!r}")
                     i += 1
                 lineno = block  # the block as a whole is named by its first line
                 if size is None or proj is None:

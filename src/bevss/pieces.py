@@ -91,11 +91,19 @@ def oversegment(flow_img: FlowImage, params: PieceParams) -> Segmentation2D:
     search window covers it; ties go to the lowest center index. A window
     spans rows and columns within +-ceil(2S) of the truncated center, i.e.
     (2*ceil(2S)+1)^2 pixels clipped at the image border. Pixels outside
-    every window take the spatially nearest center. At most
-    `params.slic_iters` passes run: the loop stops once a pass leaves the
-    centers where they were, since every later pass would repeat it, so the
-    labels are those of all `slic_iters` passes bit for bit. Disconnected
-    fragments are relabeled to a neighboring superpixel afterwards.
+    every window take the spatially nearest center. Each pass sweeps twice.
+    The first sweep covers each center's inner window, +-ceil(S). A center
+    whose inner window misses a pixel is more than ceil(S) rows or columns
+    away, so its distance there is at least (compactness/S)^2 * ceil(S)^2
+    (rounding is monotone and the flow term is >= 0). The second sweep
+    covers the full windows, but only the pixels whose best distance is not
+    below that bound, and breaks ties by the lower center index; so every
+    pixel gets the assignment the full windows alone give, bit for bit.
+    At most `params.slic_iters` passes run: the loop stops once a pass
+    leaves the centers where they were, since every later pass would repeat
+    it, so the labels are those of all `slic_iters` passes bit for bit.
+    Disconnected fragments are relabeled to a neighboring superpixel
+    afterwards.
     """
     h, w = flow_img.data.shape[:2]
     if params.superpixel_count > h * w:
@@ -122,6 +130,12 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
     # One row per center: (y, x, f0, f1).
     centers = np.column_stack([centers_yx, f0[ci, cj], f1[ci, cj]])
 
+    # A center's inner window spans +-ceil(S). A pixel outside it is more than
+    # ceil(S) rows or columns from the center, so that center's distance is
+    # >= bound: float rounding is monotone and the flow term is >= 0.
+    inner = int(np.ceil(s))
+    bound = inv_s2 * inner**2
+
     ys = np.arange(h, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64)
     labels = np.zeros((h, w), dtype=np.int32)
@@ -129,12 +143,13 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
     for _ in range(params.slic_iters):
         best.fill(np.inf)
         labels.fill(-1)
-        # Centers in ascending order, each over its window clipped at the
-        # border; a pixel moves only on a strictly smaller distance, so ties go
-        # to the lowest center index.
-        for c, (yc, xc, fc0, fc1) in enumerate(centers.tolist()):
-            rows = slice(max(int(yc) - half, 0), int(yc) + half + 1)
-            cols = slice(max(int(xc) - half, 0), int(xc) + half + 1)
+        rows_of_centers = centers.tolist()
+        # First sweep: centers in ascending order, each over its inner window
+        # clipped at the border; a pixel moves only on a strictly smaller
+        # distance, so ties go to the lowest center index.
+        for c, (yc, xc, fc0, fc1) in enumerate(rows_of_centers):
+            rows = slice(max(int(yc) - inner, 0), int(yc) + inner + 1)
+            cols = slice(max(int(xc) - inner, 0), int(xc) + inner + 1)
             dy = ys[rows] - yc
             dx = xs[cols] - xc
             d0 = f0[rows, cols] - fc0
@@ -146,6 +161,12 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
             closer = dist < win
             np.copyto(win, dist, where=closer)
             np.copyto(labels[rows, cols], c, where=closer)
+        # Second sweep over the full windows, only where a center outside its
+        # inner window could still win or tie: every other pixel already holds
+        # the least (distance, center index) over all windows that cover it.
+        is_open = best >= bound
+        if is_open.any():
+            _sweep_open_pixels(is_open, rows_of_centers, half, inv_s2, f0, f1, best, labels)
         # Orphans outside every window: nearest center by spatial distance.
         orphan = labels < 0
         if np.any(orphan):
@@ -179,12 +200,45 @@ def _slic_labels(data: np.ndarray, params: PieceParams) -> np.ndarray:
     return labels
 
 
+def _sweep_open_pixels(is_open, rows_of_centers, half, inv_s2, f0, f1, best, labels):
+    """Give each pixel where is_open holds the least (distance, center index)
+    over the +-half windows that cover it, starting from its pair in best and
+    labels, which are updated in place."""
+    w = labels.shape[1]
+    f0, f1, best, labels = f0.ravel(), f1.ravel(), best.ravel(), labels.ravel()
+    for c, (yc, xc, fc0, fc1) in enumerate(rows_of_centers):
+        y0, x0 = max(int(yc) - half, 0), max(int(xc) - half, 0)
+        win = is_open[y0 : int(yc) + half + 1, x0 : int(xc) + half + 1]
+        k = np.flatnonzero(win)
+        if not k.size:
+            continue
+        py, px = np.divmod(k, win.shape[1])
+        py += y0
+        px += x0
+        flat = py * w + px
+        dy = py - yc
+        dx = px - xc
+        d0 = f0[flat] - fc0
+        d1 = f1[flat] - fc1
+        # The first sweep's distance, element for element.
+        dist = (d0 * d0 + d1 * d1) + inv_s2 * (dy * dy + dx * dx)
+        held = best[flat]
+        closer = (dist < held) | ((dist == held) & (c < labels[flat]))
+        flat = flat[closer]
+        best[flat] = dist[closer]
+        labels[flat] = c
+
+
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     """Keep each label's largest component; merge fragments into a neighbor.
 
     Labels are visited in ascending order. A merge adds a connected fragment
     next to the receiving label, so a label that starts in one component
-    stays so: only the labels split at the start need the merge pass.
+    stays so: only the labels split at the start need the merge pass. Each
+    fragment takes the label most common on its ring (the 8-neighbours outside
+    it, each pixel counted once), the smallest on a tie. The fragments of one
+    label are never 8-adjacent, so no ring holds a pixel of a sibling and all
+    of a label's fragments merge in one step, as one after another would.
     """
     out = labels.copy()
     structure = np.ones((3, 3), dtype=bool)
@@ -195,8 +249,8 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     ]
     for lab in split:
         # Work in the label's current bounding box grown by one pixel: it holds
-        # every fragment and its dilation ring, and raster order inside it is
-        # the image's, so component numbers and merges match a full-image pass.
+        # every fragment and its ring, and raster order inside it is the
+        # image's, so component numbers and merges match a full-image pass.
         # Earlier merges may have grown the label, so the box is taken anew.
         hit = out == lab
         rows = np.flatnonzero(hit.any(axis=1))
@@ -206,25 +260,41 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
         if ncomp <= 1:
             continue
         keep = int(np.argmax(np.bincount(comp.ravel())[1:])) + 1
-        for frag, box in enumerate(ndimage.find_objects(comp), start=1):
-            if frag == keep:
-                continue
-            # The fragment's own box grown by one pixel holds its dilation ring.
-            grown = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
-            local = sub[grown]
-            mask = comp[grown] == frag
-            # The ring holds no pixel of lab (it would be in the fragment), and
-            # is never empty: the fragment cannot fill its grown box, which
-            # would then be all of sub, where the kept component also lies.
-            ring = ndimage.binary_dilation(mask, structure=structure) & ~mask
-            vals, counts = np.unique(local[ring], return_counts=True)
-            local[mask] = vals[np.argmax(counts)]
+        merge = (comp > 0) & (comp != keep)
+        # Flat indices into sub framed by lab, so a frame pixel is never on a
+        # ring. The ring holds no pixel of lab (it would be in the fragment),
+        # and is never empty: the fragment cannot fill the box, where the kept
+        # component also lies.
+        framed = np.pad(sub, 1, constant_values=lab).ravel()
+        px = np.flatnonzero(np.pad(merge, 1))
+        wp = sub.shape[1] + 2
+        shifts = np.array([dy * wp + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx])
+        ring = (px[:, None] + shifts).ravel()
+        owner = np.repeat(np.pad(comp, 1).ravel()[px].astype(np.int64), shifts.size)
+        on_ring = framed[ring] != lab
+        # Each (fragment, ring pixel) pair once, then one vote per pair.
+        pairs = np.unique(owner[on_ring] * framed.size + ring[on_ring])
+        owner, pixel = np.divmod(pairs, framed.size)
+        vote = framed[pixel].astype(np.int64)
+        low = int(vote.min())
+        span = int(vote.max()) - low + 1
+        tally, counts = np.unique(owner * span + (vote - low), return_counts=True)
+        owner, vote = np.divmod(tally, span)
+        # Per fragment, the largest count first; lexsort is stable and the
+        # tallies ascend by label, so the smallest label wins a tie.
+        order = np.lexsort((-counts, owner))
+        owner, vote = owner[order], vote[order]
+        first = np.r_[True, owner[1:] != owner[:-1]]
+        target = np.full(ncomp + 1, lab, dtype=sub.dtype)
+        target[owner[first]] = vote[first] + low
+        sub[merge] = target[comp[merge]]
     return _compact_labels(out)
 
 
 def _compact_labels(labels: np.ndarray) -> np.ndarray:
-    uniq, inv = np.unique(labels, return_inverse=True)
-    return inv.reshape(labels.shape).astype(np.int32)
+    """Non-negative labels renumbered 0..K-1 in ascending order."""
+    rank = np.cumsum(np.bincount(labels.ravel()) > 0) - 1
+    return rank[labels].astype(np.int32)
 
 
 def label_points(

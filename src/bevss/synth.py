@@ -180,8 +180,8 @@ def _flow_image(
         owned[key[owners]] = True
         owned2 = owned.reshape(h, w_px)
         if not owned2.all():
-            _, (iy, ix) = ndimage.distance_transform_edt(~owned2, return_indices=True)
-            data = data[iy, ix]
+            iy, ix = ndimage.distance_transform_edt(~owned2, return_distances=False, return_indices=True)
+            data = flat[iy * w_px + ix]
     return (
         FlowImage(camera_id=cam_t.camera_id, frame_index=cam_t.frame_index, dt=1, data=data),
         key,

@@ -198,6 +198,19 @@ def test_eval_on_a_scene_without_a_ground_truth_field(workspace, tmp_path, capsy
     assert captured.err == "error: the scene has no ground-truth field for offset 1\n"
 
 
+def test_eval_with_a_missing_prediction_field(workspace, tmp_path, capsys):
+    # Every offset is evaluated first: no bucket line of offsets -1 and 1
+    # precedes the error about offset 2.
+    pred = str(tmp_path / "pred")
+    shutil.copytree(workspace["pred"], pred)
+    os.remove(fileio.field_path(pred, 2))
+    capsys.readouterr()
+    assert cli.main(["eval", "--scene", workspace["scene"], "--pred", pred]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "field_2.bev" in captured.err
+
+
 def _read_ppm_header(path):
     with open(path, "rb") as fh:
         magic = fh.readline().strip()

@@ -221,6 +221,15 @@ def _camera_without_proj(out):
     return _edit_manifest(out, edit)
 
 
+def _unknown_camera_key(out):
+    def edit(lines):
+        k = _first(lines, "  size:")
+        lines.insert(k + 1, "  bogus: 1")  # between size: and proj:
+        return rf"manifest:{k + 2}: bad camera key 'bogus'"
+
+    return _edit_manifest(out, edit)
+
+
 def _negative_width(out):
     def edit(lines):
         k = _first(lines, "  size:")
@@ -289,11 +298,12 @@ def _nan_interval(out):
         _pieces_shorter_than_cloud,
         _flow_smaller_than_its_camera,
         _negative_width,
+        _unknown_camera_key,
     ],
     ids=[
         "frames", "velocities", "proj", "cloud-index", "size", "no-key", "zero-offset", "nan-interval",
         "z-extent", "seg-label", "non-utf8", "grid-count", "no-proj", "no-grid", "pieces-length",
-        "flow-size", "negative-size",
+        "flow-size", "negative-size", "camera-key",
     ],
 )
 def test_malformed_scene_raises_named_io_error(tmp_path, one_box, corrupt):

@@ -1,5 +1,7 @@
 """Superpixel oversegmentation, point labeling, and piece fusion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -296,6 +298,122 @@ def test_enforce_connectivity_matches_loop_oracle_on_noisy_flow():
     np.testing.assert_array_equal(
         _enforce_connectivity(labels), _loop_enforce_connectivity(labels)
     )
+
+
+def _first_pass_windows(h, w, k):
+    """Truncated first-pass centers (rows, cols) with the half-widths of
+    their inner (ceil(S)) and full (ceil(2S)) windows."""
+    ny, nx = _grid_shape(h, w, k)
+    s = max(1.0, np.sqrt(h * w / (ny * nx)))
+    iy, ix = np.meshgrid(
+        ((np.arange(ny) + 0.5) * h / ny).astype(int),
+        ((np.arange(nx) + 0.5) * w / nx).astype(int),
+        indexing="ij",
+    )
+    return iy.ravel(), ix.ravel(), int(np.ceil(s)), int(np.ceil(2 * s))
+
+
+def _assert_slic_matches_loop_oracle(data, params):
+    for slic_iters in (1, params.slic_iters):
+        p = dataclasses.replace(params, slic_iters=slic_iters)
+        np.testing.assert_array_equal(_slic_labels(data, p), _loop_slic_labels(data, p))
+
+
+def test_slic_labels_match_loop_oracle_where_a_center_wins_beyond_its_inner_window():
+    # Flow dominates, so the first pass gives some pixels to a center more
+    # than ceil(S) rows or columns away: the second sweep must find them.
+    data = _normal((40, 40, 2), 3, scale=10.0)
+    params = PieceParams(superpixel_count=16)
+    iy, ix, inner, half = _first_pass_windows(40, 40, 16)
+    labels = _slic_labels(data, dataclasses.replace(params, slic_iters=1))
+    dy, dx = (np.abs(r - c[labels]) for r, c in zip(np.indices(labels.shape), (iy, ix)))
+    assert np.any(np.maximum(dy, dx) > inner) and np.all(np.maximum(dy, dx) <= half)
+    _assert_slic_matches_loop_oracle(data, params)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [np.full((30, 40, 2), 1.5, dtype=np.float32), _normal((30, 40, 2), 5)],
+    ids=["constant", "random"],
+)
+def test_slic_labels_match_loop_oracle_without_a_spatial_term(data):
+    # compactness 0 makes the bound 0, so every pixel stays open. On constant
+    # flow every distance is 0: the lowest index among all the windows that
+    # cover a pixel must win, not the lowest among the inner ones.
+    _assert_slic_matches_loop_oracle(data, PieceParams(superpixel_count=12, compactness=0.0))
+
+
+def test_slic_labels_match_loop_oracle_between_inner_windows():
+    # One row of 4 centers 25 px apart with S = 10: the inner windows
+    # (+-10) leave gaps that the full windows (+-20) of two centers cover.
+    data = _normal((4, 100, 2), 6, scale=10.0)
+    iy, ix, inner, half = _first_pass_windows(4, 100, 4)
+    assert iy.size == 4 and (inner, half) == (10, 20)
+    gap = np.all(np.abs(np.arange(100)[:, None] - ix) > inner, axis=1)
+    assert gap.sum() == 16  # columns 0-1, 23-26, 48-51, 73-76 and 98-99
+    _assert_slic_matches_loop_oracle(data, PieceParams(superpixel_count=4))
+
+
+def _assert_connectivity_matches_loop_oracle(labels):
+    out = _enforce_connectivity(labels)
+    np.testing.assert_array_equal(out, _loop_enforce_connectivity(labels))
+    return out
+
+
+def test_enforce_connectivity_breaks_a_ring_tie_toward_the_smallest_label():
+    # The lone 5 at (3, 4) has four 3s and four 4s around it.
+    labels = np.array(
+        [
+            [5, 5, 5, 1, 1, 1, 1],
+            [5, 5, 5, 1, 1, 1, 1],
+            [5, 5, 5, 3, 3, 3, 1],
+            [1, 1, 1, 3, 5, 4, 1],
+            [1, 1, 1, 4, 4, 4, 1],
+            [1, 1, 1, 1, 1, 1, 1],
+        ],
+        dtype=np.int32,
+    )
+    out = _assert_connectivity_matches_loop_oracle(labels)
+    assert out[3, 4] == out[2, 4] != out[4, 4]
+
+
+def test_enforce_connectivity_merges_a_fragment_on_the_image_border():
+    # The 3 in the corner has three ring pixels inside the image (two 1s, one
+    # 2) and five outside it, which must not vote.
+    labels = np.array(
+        [
+            [3, 1, 1, 1, 1],
+            [2, 1, 1, 1, 1],
+            [2, 2, 1, 3, 3],
+            [2, 2, 1, 3, 3],
+        ],
+        dtype=np.int32,
+    )
+    out = _assert_connectivity_matches_loop_oracle(labels)
+    assert out[0, 0] == out[0, 1]
+
+
+def test_enforce_connectivity_merges_three_fragments_of_one_label():
+    # Label 9 keeps its 3x5 block and loses three fragments. The bar at row
+    # 2 has six 1s on its ring against three 2s and three 3s; counted once per
+    # adjacent bar pixel, the 2s and 3s would have seven votes each.
+    labels = np.ones((9, 11), dtype=np.int32)
+    labels[6:, 6:] = 9
+    labels[1, 2:5] = 2
+    labels[2, 2:5] = 9
+    labels[3, 2:5] = 3
+    labels[0, 8] = 9  # on the top border
+    labels[4, 9] = 9
+    labels[3, 8:] = 4
+    assert ndimage.label(labels == 9, structure=np.ones((3, 3)))[1] == 4
+    out = _assert_connectivity_matches_loop_oracle(labels)
+    assert out[2, 3] == out[0, 8] == out[4, 9] == out[0, 0]
+
+
+def test_compact_labels_renumbers_in_ascending_order():
+    labels = np.random.default_rng(0).choice([0, 3, 4, 9, 40], size=(6, 7)).astype(np.int32)
+    want = np.unique(labels, return_inverse=True)[1].reshape(labels.shape)
+    np.testing.assert_array_equal(_compact_labels(labels), want)
 
 
 def test_segmentation_validation():
