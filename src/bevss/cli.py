@@ -267,13 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_no_mask_arg(p)
     p.set_defaults(func=cmd_loss)
 
-    p = sub.add_parser("optimize", help="fit BEV fields by gradient descent")
+    p = sub.add_parser("optimize", help="fit BEV fields by gradient descent or an exact per-cell solve")
     defaults = OptimConfig()
     _add_scene_arg(p)
     _add_lambda_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--iters", type=int, default=defaults.max_iters)
-    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument(
+        "--lr",
+        type=float,
+        default=defaults.learning_rate,
+        help="descent step, meters; the plain Chamfer objective alone is solved and reads no rate",
+    )
     _add_no_mask_arg(p)
     p.set_defaults(func=cmd_optimize)
 

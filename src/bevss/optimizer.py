@@ -1,9 +1,10 @@
 """Direct optimization of BEV motion fields.
 
 Instead of training a network, the per-cell fields for all predicted
-offsets are fitted jointly by gradient descent on the total
-self-supervised loss, which shows that the supervision signals alone
-recover the true motion.
+offsets are fitted jointly on the total self-supervised loss, which
+shows that the supervision signals alone recover the true motion: by
+gradient descent, or, for the plain Chamfer objective, by an exact
+per-cell solve between pair queries.
 
 Every loss term sees a frame-0 point only through the flow of its BEV
 cell, so the descent runs in cell space: the fields are (n_occupied, 2)
@@ -12,6 +13,7 @@ evaluated once per frame-0 point on the flow of its cell. Only the fields
 handed back are dense.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -36,6 +38,13 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """How optimize fits the fields, and which objective it fits.
+
+    max_iters caps the descent steps or the solve rounds. learning_rate
+    and convergence_tol are read by the descent only: the plain Chamfer
+    objective is solved exactly per cell and stops when its pairs repeat.
+    """
+
     max_iters: int = 500
     learning_rate: float = 0.05  # meters per step
     convergence_tol: float = 1e-5  # relative loss change over 10 iterations
@@ -52,7 +61,7 @@ class OptimConfig:
 @dataclass
 class OptimReport:
     iterations: int
-    trajectory: list  # one dict per iteration: iter/total/mc/pr/tc/lr/grad_norm
+    trajectory: list  # one dict per iteration or round: iter/total/mc/pr/tc/lr/grad_norm
     final: dict  # total/mc/pr/tc at the returned fields
     fields: dict  # t -> BevMotionField
     wall_time_s: float
@@ -87,7 +96,9 @@ class CellSpace:
     Each frame-0 point reads its flow from one row of a padded field: the
     n_occupied cell rows, then a pinned zero row for out-of-grid points.
     The loss terms are set up once on the bundle's frame-0 cloud, masks
-    and pieces, one row per point; a term whose weight is zero is None.
+    and pieces, one row per point; a term whose weight is zero is None,
+    and so is the temporal term of a scene with one offset, whose value
+    is then identically 0.
     """
 
     spec: BevGridSpec
@@ -138,26 +149,33 @@ def cell_space(bundle: SceneBundle, cfg: OptimConfig) -> CellSpace:
         weights=w,
         mc=mc,
         pr=Rigidity(bundle.pieces) if use_pieces else None,
-        tc=TemporalConsistency(bundle.frame_set) if w.lambda_tc > 0 else None,
+        tc=TemporalConsistency(bundle.frame_set) if w.lambda_tc > 0 and len(offsets) > 1 else None,
     )
 
 
-def field_loss_and_gradients(space: CellSpace, fields: dict):
+def _point_flows(space: CellSpace, fields: dict) -> dict:
+    """The PointFlowSet of each offset: every frame-0 point reads its cell's row."""
+    return {t: PointFlowSet(t, np.take(np.append(f, 0.0), space.flat)) for t, f in fields.items()}
+
+
+def field_loss_and_gradients(space: CellSpace, fields: dict, pairs: dict | None = None):
     """Total loss plus analytic per-cell gradients (sum over cell points).
 
     fields maps each offset to an (n_occupied, 2) array over the cells of
     space, and the gradients come back in the same form. Out-of-grid
     points carry zero flow and contribute no gradient. The total is the
     weighted sum of the terms that are on; a term that is off reads 0.
+    pairs, from space.mc.pairs, holds the Chamfer pairs fixed; without
+    them the Chamfer term takes the pairs at fields.
     """
     n_occ = space.counts.shape[0]
-    flows = {t: PointFlowSet(t, np.take(np.append(f, 0.0), space.flat)) for t, f in fields.items()}
+    flows = _point_flows(space, fields)
 
     w = space.weights
     components = {"total": 0.0}
     grads = {}
     for name, lam, term in (
-        ("mc", w.lambda_mc, space.mc),
+        ("mc", w.lambda_mc, functools.partial(space.mc, pairs=pairs)),
         ("pr", w.lambda_pr, space.pr),
         ("tc", w.lambda_tc, space.tc),
     ):
@@ -235,18 +253,34 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
 
     A masked config (cfg.use_mask) starts offset t of each cell at t times
     its seed_velocity: constant velocity, the exact zero of the temporal
-    term. The plain config, the LiDAR-only baseline, starts at zero. Each
-    step divides the summed per-point flow gradients of a cell by its
-    point count and descends with a decaying learning rate.
+    term. The plain config, the LiDAR-only baseline, starts at zero.
+
+    The plain Chamfer objective alone (no mask, no rigidity or temporal
+    term, lambda_mc > 0) is solved, not descended. With its pairs held
+    fixed it is a sum of squares in which each point reads one cell's
+    planar flow, so each round queries the pairs of every offset at the
+    current fields, records a trajectory entry with them, and sets each
+    occupied cell to its exact minimizer: the mean of b[a2b] - a over its
+    in-grid frame-0 points and of b - a[b2a] over the targets paired to
+    them, taken as the Newton step f - g / H with H = 2 lambda_mc
+    (n_a + n_b) / n_off. This is ICP (Besl and McKay, 1992): the loss
+    never rises, and once every offset's pairs repeat the fields are an
+    exact fixed point ("tol"). A round takes the full Newton step, so its
+    entry records lr 1.0, and its grad_norm is the gradient at the fixed
+    pairs.
+
+    Every other config descends: each step divides the summed per-point
+    flow gradients of a cell by its point count and moves it by a
+    learning rate that decays. The stop is "tol" when the loss changed
+    over 10 iterations by at most cfg.convergence_tol times the larger of
+    the earlier loss and L0.
 
     L0 is the objective at zero fields: the first trajectory entry of a
-    zero start, evaluated once more before a seeded one. The report's
-    stop_reason says whether the loss changed over 10 iterations by at
-    most cfg.convergence_tol times the larger of the earlier loss and L0
-    ("tol") or the iteration cap was reached ("max_iters"); a non-finite
-    loss or gradient, or a loss above 10x the larger of the initial one and
-    L0, raises DivergenceError, whose report says "diverged". The report's
-    final holds the loss components at the fields it returns: after
+    zero start, evaluated once more before a seeded one. Either way the
+    stop is "max_iters" at the cap; a non-finite loss or gradient, or a
+    loss above 10x the larger of the initial one and L0, raises
+    DivergenceError, whose report says "diverged". The report's final
+    holds the loss components at the fields it returns: after
     "max_iters" the objective is evaluated once more, since the last
     update follows the last trajectory entry.
     """
@@ -263,15 +297,20 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
             zero_loss = field_loss_and_gradients(space, fields)[0]["total"]
             for t, f in fields.items():
                 f += t * velocity  # 0.0 + -0.0 is 0.0: no negative zeros
-    lr = cfg.learning_rate
+    # The plain Chamfer alone is solved.
+    solve = not cfg.use_mask and space.pr is None and space.tc is None and space.weights.lambda_mc > 0
+    lr = 1.0 if solve else cfg.learning_rate
+    pairs = None  # the Chamfer pairs of the last solve round
     trajectory = []
     stop_reason = "max_iters"
     reason = None  # why the loss diverged
 
     for it in range(cfg.max_iters):
-        if it > 0 and it % LR_DECAY_EVERY == 0:
+        if solve:
+            last, pairs = pairs, space.mc.pairs(_point_flows(space, fields))
+        elif it > 0 and it % LR_DECAY_EVERY == 0:
             lr *= LR_DECAY
-        components, cell_grads = field_loss_and_gradients(space, fields)
+        components, cell_grads = field_loss_and_gradients(space, fields, pairs)
         grad_norm = math.sqrt(sum(float((g * g).sum()) for g in cell_grads.values()))
         trajectory.append({"iter": it, **components, "lr": lr, "grad_norm": grad_norm})
         loss = components["total"]
@@ -286,6 +325,21 @@ def optimize(bundle: SceneBundle, cfg: OptimConfig):
         if reason is not None:
             stop_reason = "diverged"
             break
+        if solve:
+            if last is not None and all(
+                np.array_equal(x, y) for t in pairs for x, y in zip(pairs[t], last[t])
+            ):  # the fields already minimize the objective at these pairs
+                stop_reason = "tol"
+                break
+            scale = 2.0 * space.weights.lambda_mc / len(fields)  # H = scale * (n_a + n_b)
+            cell = space.flat[space.mc.dyn_idx, 0] // 2  # n_occ for an out-of-grid point
+            for t, g in cell_grads.items():
+                n = space.counts.copy()  # n_a >= 1 in an occupied cell
+                if t in pairs:  # n_b: the targets paired to each cell's points
+                    n += np.bincount(cell[pairs[t][1]], minlength=n_occ + 1)[:n_occ, None]
+                g /= scale * n
+                fields[t] -= g
+            continue
         if it >= 10:
             past = trajectory[-11]["total"]
             if abs(past - loss) <= cfg.convergence_tol * max(abs(past), zero_loss):

@@ -285,6 +285,22 @@ def test_synth_frame_override(tmp_path):
     assert bundle.frame_set.offsets == (1, 2)
 
 
+def test_one_offset_scene_runs_end_to_end(tmp_path, capsys):
+    # With one offset the temporal term is identically 0, so it is off, as
+    # a term of weight 0 is: the default optimize needs no --lambda-tc 0.
+    scene, pred = str(tmp_path / "s"), str(tmp_path / "p")
+    assert cli.main(["synth", "--preset", "one-box", "--frames", "1", "--out", scene]) == 0
+    assert cli.main(["labels", "--scene", scene]) == 0
+    assert cli.main(["optimize", "--scene", scene, "--out", pred]) == 0
+    assert sorted(os.listdir(pred)) == ["field_1.bev", "report.txt"]
+    reported = dict(line.split("=") for line in open(os.path.join(pred, "report.txt")).read().splitlines())
+    assert reported["loss_tc"] == "0" and reported["stop_reason"] == "tol"
+    capsys.readouterr()
+    assert cli.main(["eval", "--scene", scene, "--pred", pred, "--kv"]) == 0
+    out = capsys.readouterr().out
+    assert "offset 1:" in out and "eval.1.fast.count=" in out and "offset 2:" not in out
+
+
 def test_commands_after_synth_read_the_offsets_of_the_scene(tmp_path, capsys):
     scene, pred = str(tmp_path / "s"), str(tmp_path / "p")
     assert cli.main(["synth", "--preset", "one-box", "--frames", "1,2", "--out", scene]) == 0

@@ -1,5 +1,7 @@
 """Loss values on hand-computed instances, plus input validation."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -426,20 +428,29 @@ def _assert_fresh(nn, a):
         np.testing.assert_array_equal(g, r)
 
 
+@pytest.fixture(scope="module")
+def two_box_pieces(two_box):
+    """two-box seed 0 with its rigid pieces, which the rigidity term reads."""
+    from bevss.optimizer import prepare_supervision
+
+    bundle = copy.copy(two_box)
+    bundle.pseudo_masks, bundle.pieces = {}, None
+    return prepare_supervision(bundle)
+
+
 def _plain_descent(bundle, monkeypatch, around):
-    """A 40-iteration plain-config descent of bundle (41 pair calls per
-    offset, with the final evaluation) in which around(state, a, call)
-    makes each pair call as call(state, a)."""
+    """A 40-iteration descent of bundle's plain Chamfer (no mask) with the
+    default rigidity and temporal weights, a config that still descends
+    (41 pair calls per offset, with the final evaluation), in which
+    around(state, a, call) makes each pair call as call(state, a)."""
     from bevss.optimizer import OptimConfig, optimize
 
     call = _CertifiedPairs.__call__
     monkeypatch.setattr(_CertifiedPairs, "__call__", lambda self, a: around(self, a, call))
-    weights = LossWeights(lambda_pr=0.0, lambda_tc=0.0)
-    cfg = OptimConfig(max_iters=40, use_mask=False, weights=weights, convergence_tol=0.0)
-    optimize(bundle, cfg)
+    optimize(bundle, OptimConfig(max_iters=40, use_mask=False, convergence_tol=0.0))
 
 
-def test_certified_pairs_follow_a_plain_descent(two_box, monkeypatch):
+def test_certified_pairs_follow_a_plain_descent(two_box_pieces, monkeypatch):
     # Most two-box points repeat bit for bit in every frame and never move.
     split = []
 
@@ -451,11 +462,11 @@ def test_certified_pairs_follow_a_plain_descent(two_box, monkeypatch):
             split.append(int(nn.fixed.sum()))
         return got
 
-    _plain_descent(two_box, monkeypatch, check)
-    assert len(split) == 3 * 41 and 0 < min(split) < max(split) == len(two_box.clouds[0])
+    _plain_descent(two_box_pieces, monkeypatch, check)
+    assert len(split) == 3 * 41 and 0 < min(split) < max(split) == len(two_box_pieces.clouds[0])
 
 
-def test_plain_descent_builds_no_tree_of_every_warped_point_per_call(two_box, monkeypatch):
+def test_plain_descent_builds_no_tree_of_every_warped_point_per_call(two_box_pieces, monkeypatch):
     # Only the first call of each offset needs a tree of all its points:
     # they are all fixed then. Without the split, every pair call that
     # re-queries a target point builds one, here every call.
@@ -471,7 +482,7 @@ def test_plain_descent_builds_no_tree_of_every_warped_point_per_call(two_box, mo
         return call(nn, a)
 
     monkeypatch.setattr("bevss.losses.cKDTree", counting_tree)
-    _plain_descent(two_box, monkeypatch, count)
+    _plain_descent(two_box_pieces, monkeypatch, count)
     assert len(sizes) == 3 * 41
     assert len(full) <= 3, f"{len(full)} trees of all warped points"
 

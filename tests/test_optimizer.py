@@ -9,7 +9,14 @@ import pytest
 
 from bevss import synth
 from bevss.grid import BevGridSpec, FrameSet, PointCloud, PointFlowSet, cell_indices
-from bevss.losses import LossValue, LossWeights, MaskedChamfer, rigidity, temporal_consistency
+from bevss.losses import (
+    LossValue,
+    LossWeights,
+    MaskedChamfer,
+    chamfer_pairs,
+    rigidity,
+    temporal_consistency,
+)
 from bevss.masks import DYNAMIC, STATIC, UNKNOWN, StaticDynamicMask
 from bevss.optimizer import (
     DivergenceError,
@@ -259,12 +266,13 @@ def test_optimize_reduces_loss_and_reports(supervised):
     assert report.wall_time_s > 0.0
 
 
-@pytest.mark.parametrize("config", ["full", "plain"])
+@pytest.mark.parametrize("config", ["full", "no-mask"])
 def test_optimize_matches_point_oracle_descent(supervised, config):
     # A few steps of the per-point descent on dense fields: each cell moves
     # by its summed gradient over its frame-0 point count.
-    # The full config starts at t times the seed velocity, the plain one at 0.
-    cfg = OptimConfig(max_iters=4, **(PLAIN if config == "plain" else {}))
+    # The full config starts at t times the seed velocity; the no-mask one,
+    # plain Chamfer with the default rigidity and temporal terms, at 0.
+    cfg = OptimConfig(max_iters=4, use_mask=config == "full")
     spec = supervised.grid
     idx, valid = cell_indices(supervised.clouds[0].points, spec)
     counts = np.zeros((spec.cells_x, spec.cells_y))
@@ -288,6 +296,93 @@ def test_optimize_matches_point_oracle_descent(supervised, config):
     final, _ = _point_field_loss_and_gradients(supervised, ref, cfg)
     assert report.final == final
     assert report.final["total"] != report.trajectory[-1]["total"]
+
+
+def test_optimize_matches_point_oracle_icp(two_box):
+    # The plain objective, solved point by point: at fresh pairs, each
+    # cell takes the mean planar offset b[a2b] - a over its in-grid
+    # frame-0 points and b - a[b2a] over the targets paired to them,
+    # until every offset's pairs repeat. optimize takes each mean as a
+    # Newton step from the gradient, so the fields agree to rounding:
+    # here to 1.3e-15 m, and the test allows 1e-12 m.
+    cfg = OptimConfig(**PLAIN)
+    spec, points0 = two_box.grid, two_box.clouds[0].points
+    idx, valid = cell_indices(points0, spec)
+    ref = {t: np.zeros((spec.cells_x, spec.cells_y, 2)) for t in two_box.frame_set.offsets}
+    last, rounds = None, 0
+    while rounds < cfg.max_iters:
+        pairs = {}
+        for t in ref:
+            warped = points0 + gather_flows(ref[t], idx, valid)
+            pairs[t] = chamfer_pairs(warped, two_box.clouds[t].points)
+        rounds += 1
+        if last is not None and all(
+            np.array_equal(x, y) for t in ref for x, y in zip(pairs[t], last[t])
+        ):
+            break
+        last = pairs
+        for t, (a_to_b, b_to_a) in pairs.items():
+            target = two_box.clouds[t].points
+            sums = np.zeros((spec.cells_x, spec.cells_y, 2))
+            counts = np.zeros((spec.cells_x, spec.cells_y))
+            cells = (idx[valid, 0], idx[valid, 1])
+            np.add.at(sums, cells, (target[a_to_b] - points0)[valid, :2])
+            np.add.at(counts, cells, 1.0)
+            paired = valid[b_to_a]  # targets whose pair is an in-grid point
+            cells = (idx[b_to_a[paired], 0], idx[b_to_a[paired], 1])
+            np.add.at(sums, cells, (target - points0[b_to_a])[paired, :2])
+            np.add.at(counts, cells, 1.0)
+            ref[t] = sums / np.maximum(counts, 1.0)[:, :, None]
+    fields, report = optimize(two_box, cfg)
+    assert report.stop_reason == "tol" and report.iterations == rounds < cfg.max_iters
+    for t in ref:
+        np.testing.assert_allclose(fields[t].values, ref[t], rtol=0.0, atol=1e-12)
+    final, _ = _point_field_loss_and_gradients(two_box, ref, cfg)
+    assert report.final["total"] == pytest.approx(final["total"], rel=1e-12)
+
+
+def test_plain_solve_never_raises_the_loss_and_stops_at_a_fixed_point(two_box, monkeypatch):
+    queried = []
+    query = MaskedChamfer.pairs
+
+    def record(self, flows):
+        queried.append(query(self, flows))
+        return queried[-1]
+
+    monkeypatch.setattr(MaskedChamfer, "pairs", record)
+    cfg = OptimConfig(**PLAIN)
+    fields, report = optimize(two_box, cfg)
+    totals = [e["total"] for e in report.trajectory]
+    # ICP: fresh pairs, then the exact minimizer at them, can only lower
+    # the loss (here up to rounding, 1e-12 of it).
+    assert all(b <= a * (1.0 + 1e-12) for a, b in zip(totals, totals[1:]))
+    assert totals[-1] < 0.5 * totals[0]
+    assert [e["lr"] for e in report.trajectory] == [1.0] * report.iterations
+    assert report.stop_reason == "tol" and report.iterations < cfg.max_iters
+    assert report.final == {k: report.trajectory[-1][k] for k in ("total", "mc", "pr", "tc")}
+    # The last round's pairs repeat those of the round before, and fresh
+    # pairs at the returned fields are the same: a fixed point, where the
+    # gradient at those pairs is 0 up to rounding.
+    assert len(queried) == report.iterations
+    points0 = two_box.clouds[0].points
+    idx, valid = cell_indices(points0, two_box.grid)
+    for t, fld in fields.items():
+        fresh = chamfer_pairs(points0 + gather_flows(fld.values, idx, valid), two_box.clouds[t].points)
+        for got, prev, again in zip(queried[-1][t], queried[-2][t], fresh):
+            np.testing.assert_array_equal(got, prev)
+            np.testing.assert_array_equal(got, again)
+    assert report.trajectory[-1]["grad_norm"] <= 1e-9 * report.trajectory[0]["grad_norm"]
+
+
+def test_zero_objective_returns_zero_fields(two_box):
+    # lambda_mc = 0 with no mask and no other term: the objective is
+    # identically 0, which the descent, not the solve, handles, with no
+    # 0/0 (pytest turns a RuntimeWarning into an error).
+    cfg = OptimConfig(use_mask=False, weights=LossWeights(0.0, 0.0, 0.0))
+    fields, report = optimize(two_box, cfg)
+    assert all(not f.values.any() for f in fields.values())
+    assert report.final["total"] == 0.0
+    assert all(e["total"] == 0.0 and e["grad_norm"] == 0.0 for e in report.trajectory)
 
 
 def test_trajectory_records_step_size_and_gradient_norm(supervised):
