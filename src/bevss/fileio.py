@@ -63,10 +63,13 @@ _FORMATS = {
 
 
 def _write(path: str, magic: bytes, words: tuple, payload: np.ndarray):
+    """Write one record: magic, header words, then the payload's bytes in
+    the format's dtype. A payload already C-contiguous in that dtype (the
+    float32 flow images, say) is written from its own buffer, uncopied."""
     header, dtype, _ = _FORMATS[magic]
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack(header, *words))
-        fh.write(payload.astype(dtype).tobytes())
+        fh.write(np.ascontiguousarray(payload, dtype))
 
 
 def _load(path: str, magic: bytes, build: Callable):

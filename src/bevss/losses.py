@@ -311,7 +311,7 @@ class MaskedChamfer:
         # The static gradient of a row is sign(f) / n_stat / n_off, taken
         # densely as sign(f) times this weight, which is 0 on dynamic rows.
         # sign(f) is -1, 0 or 1 and rounding is symmetric, so the product is
-        # exact. Without static rows (n_stat 0) the weight is 0 everywhere.
+        # exact. Without static rows it is never read.
         self.g_stat = np.zeros((self.n0, 3))
         if self.stat_idx.size:
             self.g_stat[self.stat_idx] = 1.0 / self.n_stat / len(self.offsets)
@@ -345,25 +345,26 @@ class MaskedChamfer:
                 raise ValueError("stacked flows need the pairs to hold fixed")
             if len(flows[t]) != self.n0:
                 raise ValueError("flow length differs from frame 0 cloud")
-            if with_grad:
-                g = np.sign(f)
-                g *= self.g_stat
-
+            # Gradient rows of the dynamic points: the Chamfer gradient, or 0
+            # at an offset without target (so a NaN flow there stays out).
+            g_dyn = 0.0
             if t in self.nn:
                 warped = self._warped(flows, t)
                 nn = self.nn[t](warped) if pairs is None else pairs[t]
                 cd, cd_grad = _chamfer(warped, self.nn[t].b, nn, "a" if with_grad else "")
                 value += cd
                 if with_grad:
-                    g[self.dyn_idx] = cd_grad["a"] / n_off
-            elif with_grad:
-                g[self.dyn_idx] = 0.0  # sign(f) * 0 may be -0.0 or NaN there
+                    g_dyn = cd_grad["a"] / n_off
 
             if self.stat_idx.size:
                 fs = np.abs(np.take(f, self.stat_idx, axis=-2))
                 value += _block_sums(fs) / self.n_stat
-            if with_grad:
-                grads[t] = g
+                if with_grad:
+                    grads[t] = np.sign(f)
+                    grads[t] *= self.g_stat
+                    grads[t][self.dyn_idx] = g_dyn  # sign(f) * 0 may be -0.0 or NaN there
+            elif with_grad:  # every row is dynamic
+                grads[t] = g_dyn if t in self.nn else np.zeros_like(f)
 
         value /= n_off
         if not with_grad:

@@ -391,8 +391,22 @@ def build_pieces(
     params: PieceParams,
     spec: BevGridSpec,
 ) -> RigidPieces:
-    """Full pipeline: oversegment -> label -> occlusion filter -> fuse."""
-    segs = [oversegment(f, params) for f in flow_imgs]
+    """Full pipeline: oversegment -> label -> occlusion filter -> fuse.
+
+    The labels of an oversegmentation depend on the flow data alone, so
+    each bit-distinct image is oversegmented once per call; an image with
+    the bits of an earlier one (cameras that all see the same still view)
+    takes that one's labels under its own camera id.
+    """
+    done = []  # (flow bits, labels) of the images oversegmented so far
+    segs = []
+    for f in flow_imgs:
+        bits = f.data.view(np.uint32)
+        labels = next((lab for b, lab in done if np.array_equal(b, bits)), None)
+        if labels is None:
+            labels = oversegment(f, params).labels
+            done.append((bits, labels))
+        segs.append(Segmentation2D(camera_id=f.camera_id, labels=labels))
     labels, camera_of_label = label_points(cloud, segs, cams, params)
     labels = occlusion_filter(cloud, labels, cams, params.delta_d, camera_of_label)
     return fuse_by_height(cloud, labels, spec, params.min_piece_points)

@@ -158,7 +158,11 @@ def _flow_image(
     Returns (flow image, per-point pixel key or -1, per-point depth, the
     owner of each owned pixel: its nearest point, the first one on a
     depth tie).
-    Empty pixels inherit the flow of the nearest owned pixel.
+    Empty pixels inherit the flow of the nearest owned pixel, found by an
+    exact Euclidean distance transform. When every owner's flow has the
+    bits of the first owner's (a still camera with no mover in view), that
+    value is the whole image and the transform is skipped: the fill would
+    copy it everywhere. Bits, not values, are compared, since 0.0 == -0.0.
     """
     h, w_px = cam_t.height, cam_t.width
     uv_t, w_t, _ = project_many(pos_t, cam_t)
@@ -169,19 +173,23 @@ def _flow_image(
     key = np.where(ok, v * w_px + u, -1)
 
     data = np.zeros((h, w_px, 2), dtype=np.float32)
-    owned = np.zeros(h * w_px, dtype=bool)
     idx = np.nonzero(ok)[0]
     order = idx[np.argsort(w_t[idx], kind="stable")]
     owners = order[np.unique(key[order], return_index=True)[1]]
     if owners.size:
         flow = (uv_n[owners] - uv_t[owners]).astype(np.float32)
-        flat = data.reshape(-1, 2)
-        flat[key[owners]] = flow
-        owned[key[owners]] = True
-        owned2 = owned.reshape(h, w_px)
-        if not owned2.all():
-            iy, ix = ndimage.distance_transform_edt(~owned2, return_distances=False, return_indices=True)
-            data = flat[iy * w_px + ix]
+        bits = flow.view(np.uint64)  # one word per owner's (du, dv)
+        if np.all(bits == bits[0]):
+            data[:] = flow[0]
+        else:
+            flat = data.reshape(-1, 2)
+            flat[key[owners]] = flow
+            owned = np.zeros(h * w_px, dtype=bool)
+            owned[key[owners]] = True
+            owned2 = owned.reshape(h, w_px)
+            if not owned2.all():
+                iy, ix = ndimage.distance_transform_edt(~owned2, return_distances=False, return_indices=True)
+                data = np.take(flat, iy * w_px + ix, axis=0)
     return (
         FlowImage(camera_id=cam_t.camera_id, frame_index=cam_t.frame_index, dt=1, data=data),
         key,

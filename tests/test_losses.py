@@ -142,6 +142,21 @@ def test_masked_chamfer_dynamic_term_hand_computed():
     assert res2.value == pytest.approx(expected)
 
 
+def test_masked_chamfer_gradient_without_static_rows():
+    # Every frame-0 point dynamic: an offset with dynamic targets takes the
+    # Chamfer gradient over the offset count, and one without takes +0.0
+    # on every row, negative flows included.
+    p0 = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 0.0]])
+    dyn, stat = np.full(2, DYNAMIC, np.uint8), np.full(2, STATIC, np.uint8)
+    clouds = {0: PointCloud(0, p0), 1: PointCloud(1, p0 + 1.0), 2: PointCloud(2, p0)}
+    masks = {0: StaticDynamicMask(0, dyn), 1: StaticDynamicMask(1, dyn), 2: StaticDynamicMask(2, stat)}
+    flows = flow_sets({1: np.full((2, 3), 0.5), 2: np.full((2, 3), -0.5)})
+    res = MaskedChamfer(clouds, masks, (1, 2))(flows, with_grad=True)
+    want = chamfer(PointCloud(0, p0 + 0.5), clouds[1], with_grad=True).grad["a"] / 2
+    np.testing.assert_array_equal(res.grad[1], want)
+    assert np.all(res.grad[2] == 0.0) and not np.any(np.signbit(res.grad[2]))
+
+
 def test_masked_chamfer_validation():
     clouds = {0: PointCloud(0, np.zeros((2, 3)))}
     masks = {0: StaticDynamicMask(0, np.zeros(2, dtype=np.uint8))}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from bevss import pieces as pieces_mod
 from bevss import synth
 from bevss.grid import BevGridSpec, PointCloud, cell_indices
 from bevss.pieces import (
@@ -16,6 +17,7 @@ from bevss.pieces import (
     _enforce_connectivity,
     _grid_shape,
     _slic_labels,
+    build_pieces,
     fuse_by_height,
     label_points,
     occlusion_filter,
@@ -578,3 +580,58 @@ def test_fuse_by_height_matches_union_find_oracle_on_scene(one_box):
     assert np.array_equal(pieces.labels, want)
     assert pieces.piece_count == count
     assert count > 0
+
+
+def _build_pieces_every_image(cloud, flow_imgs, cams, params, spec):
+    """Oracle for build_pieces: oversegment every image, equal or not."""
+    segs = [oversegment(f, params) for f in flow_imgs]
+    labels, camera_of_label = label_points(cloud, segs, cams, params)
+    labels = occlusion_filter(cloud, labels, cams, params.delta_d, camera_of_label)
+    return fuse_by_height(cloud, labels, spec, params.min_piece_points)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call is counted; returns the counter."""
+    fn, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _check_build_pieces(monkeypatch, cloud, flow_imgs, cams, spec):
+    params = PieceParams()
+    want = _build_pieces_every_image(cloud, flow_imgs, cams, params, spec)
+    calls = _count_calls(monkeypatch, pieces_mod, "oversegment")
+    seen = _count_calls(monkeypatch, pieces_mod, "label_points")
+    got = build_pieces(cloud, flow_imgs, cams, params, spec)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.piece_count == want.piece_count
+    segs = seen[0][1]
+    assert [seg.camera_id for seg in segs] == [f.camera_id for f in flow_imgs]
+    distinct = {f.data.tobytes() for f in flow_imgs}
+    assert len(calls) == len(distinct)
+    return len(calls)
+
+
+@pytest.mark.parametrize("scene, distinct", [("one_box", 2), ("two_box", 3)])
+def test_build_pieces_oversegments_each_distinct_image_once(request, monkeypatch, scene, distinct):
+    # Cameras 1-3 of one-box see the same still view at frame 0.
+    bundle = request.getfixturevalue(scene)
+    cams = [cam for cam, _ in bundle.cam_pair(0)]
+    n = _check_build_pieces(monkeypatch, bundle.clouds[0], bundle.frame_flows(0), cams, bundle.grid)
+    assert n == distinct
+
+
+def test_build_pieces_reuses_a_repeated_noisy_image(monkeypatch):
+    # The copy has the bits, not the identity, of the first image, and a
+    # camera id of its own.
+    bundle = synth.generate(synth.preset("night-noise", seed=0))
+    flows = bundle.frame_flows(0)[:2]
+    cams = [cam for cam, _ in bundle.cam_pair(0)][:2]
+    flows.append(FlowImage(9, 0, 1, flows[0].data.copy()))
+    cams.append(dataclasses.replace(cams[0], camera_id=9))
+    assert _check_build_pieces(monkeypatch, bundle.clouds[0], flows, cams, bundle.grid) == 2

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from bevss import synth
 from bevss.grid import FrameSet, cell_indices
-from bevss.projection import project_many
+from bevss.projection import EPS_DEPTH, FlowImage, project_many
 from bevss.synth import (
     Actor,
     EgoMotion,
@@ -233,3 +234,66 @@ def test_noise_is_applied_when_requested():
     clean = generate(preset("one-box", seed=0))
     key = (0, 0)
     assert not np.array_equal(noisy.flow_images[key].data, clean.flow_images[key].data)
+
+
+def _edt_flow_image(cam_t, cam_next, pos_t, pos_next):
+    """Oracle for synth._flow_image: splat, then always fill the empty
+    pixels from the nearest owned pixel by the distance transform."""
+    h, w_px = cam_t.height, cam_t.width
+    uv_t, w_t, _ = project_many(pos_t, cam_t)
+    uv_n, w_n, _ = project_many(pos_next, cam_next)
+    u = np.rint(uv_t[:, 0]).astype(np.int64)
+    v = np.rint(uv_t[:, 1]).astype(np.int64)
+    ok = (w_t > EPS_DEPTH) & (w_n > EPS_DEPTH) & (u >= 0) & (u < w_px) & (v >= 0) & (v < h)
+    key = np.where(ok, v * w_px + u, -1)
+    data = np.zeros((h, w_px, 2), dtype=np.float32)
+    owned = np.zeros(h * w_px, dtype=bool)
+    idx = np.nonzero(ok)[0]
+    order = idx[np.argsort(w_t[idx], kind="stable")]
+    owners = order[np.unique(key[order], return_index=True)[1]]
+    if owners.size:
+        flat = data.reshape(-1, 2)
+        flat[key[owners]] = (uv_n[owners] - uv_t[owners]).astype(np.float32)
+        owned[key[owners]] = True
+        owned2 = owned.reshape(h, w_px)
+        if not owned2.all():
+            iy, ix = ndimage.distance_transform_edt(~owned2, return_distances=False, return_indices=True)
+            data = flat[iy * w_px + ix]
+    return FlowImage(cam_t.camera_id, cam_t.frame_index, 1, data), key, w_t, owners
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_flow_image_matches_distance_transform_oracle(monkeypatch, seed):
+    # Every (camera, frame) image of every preset, bit for bit; both fills
+    # must run, and a one-valued image must not pay the transform.
+    flow_image, edt = synth._flow_image, ndimage.distance_transform_edt
+    fills = {"one-valued": 0, "transform": 0}
+    edt_calls = []
+
+    def counted_edt(*args, **kwargs):
+        edt_calls.append(args)
+        return edt(*args, **kwargs)
+
+    def checked(*args):
+        before = len(edt_calls)
+        got = flow_image(*args)
+        transformed = len(edt_calls) > before
+        want = _edt_flow_image(*args)
+        np.testing.assert_array_equal(got[0].data.view(np.uint32), want[0].data.view(np.uint32))
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(a, b)
+        if want[3].size:
+            bits = want[0].data.view(np.uint64)
+            assert not (transformed and np.all(bits == bits.flat[0]))
+            fills["transform" if transformed else "one-valued"] += 1
+        return got
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counted_edt)
+    monkeypatch.setattr(synth, "_flow_image", checked)
+    cameras = {name: generate(preset(name, seed=seed)).cameras for name in synth.PRESETS}
+    assert fills["one-valued"] > 0 and fills["transform"] > 0
+    # The still cameras' one value is (0, 0); one point owning one pixel of
+    # a moving camera (static: the ego drives ahead) gives another value.
+    point = np.array([[10.0, 1.0 + seed, 0.5]])
+    img = checked(cameras["static"][(0, 0)], cameras["static"][(0, 1)], point, point)[0]
+    assert np.all(img.data == img.data[0, 0]) and np.any(img.data[0, 0] != 0)
